@@ -13,6 +13,7 @@ import sys
 from .errors import FormrepError, SpecFormatError
 from .harness import (
     ProblemSpec,
+    _tolerance,
     Report,
     gen_counterexample,
     gen_random,
@@ -109,7 +110,7 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
 
 def _apply_overrides(spec: ProblemSpec, args: argparse.Namespace) -> ProblemSpec:
     if args.tol_scale is not None:
-        spec.tolerances["tol_scale"] = float(args.tol_scale)
+        spec.tolerances["tol_scale"] = _tolerance("tol_scale", args.tol_scale)
     if args.force:
         spec.force = True
     return spec

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .errors import (
 from .involution import Involution, block_decompose, commutes
 from .spectral import (
     SpectralDecomposition,
+    _signum,
     apply_fn,
     eig_sym,
     kernel_tol,
@@ -157,6 +159,14 @@ def check_gap_hypothesis(
     ------
     NotPositiveSemidefiniteError, SingularMatrixError, CommutationError
     """
+    return _certify(mat_a, mat_h, inv)[0]
+
+
+def _certify(
+    mat_a: np.ndarray, mat_h: np.ndarray, inv: Involution
+) -> tuple[GapCertificate, np.ndarray, np.ndarray, SpectralDecomposition, np.ndarray]:
+    """``check_gap_hypothesis``, also returning the symmetrized ``A`` and ``H``,
+    the clamped decomposition of ``A`` and the eigenvalues of ``H``."""
     sym_a = symmetrize(mat_a, "weight")
     sym_h = symmetrize(mat_h, "coefficient")
     if sym_a.shape[0] != sym_h.shape[0] or sym_a.shape[0] != inv.n:
@@ -164,11 +174,10 @@ def check_gap_hypothesis(
             f"dimension mismatch: weight {sym_a.shape[0]}, coefficient "
             f"{sym_h.shape[0]}, involution {inv.n}"
         )
-    _clamped_weight(sym_a)  # raises if genuinely indefinite
-    n = sym_h.shape[0]
-    h_gap = min_abs_eig(sym_h)
-    tau_h = kernel_tol(n, op_norm(sym_h))
-    if h_gap <= tau_h:
+    weight = _clamped_weight(sym_a)  # raises if genuinely indefinite
+    h_vals = np.linalg.eigvalsh(sym_h)
+    h_gap = float(np.min(np.abs(h_vals)))
+    if h_gap <= kernel_tol(sym_h.shape[0], float(np.max(np.abs(h_vals)))):
         raise SingularMatrixError(
             f"coefficient matrix is singular: min |eigenvalue| = {h_gap:.3e}"
         )
@@ -180,29 +189,20 @@ def check_gap_hypothesis(
     blocks = block_decompose(sym_h, inv)
     lambda_min_plus = float(np.linalg.eigvalsh(blocks.plus_block)[0])
     lambda_max_minus = float(np.linalg.eigvalsh(blocks.minus_block)[-1])
-    satisfied = min(lambda_min_plus, -lambda_max_minus) > 0.0
-    if satisfied:
-        return GapCertificate(
-            lambda_min_plus=lambda_min_plus,
-            lambda_max_minus=lambda_max_minus,
-            satisfied=True,
-            alpha_star=float(min(1.0, lambda_min_plus, -lambda_max_minus)),
-        )
+    refusal = None
     if lambda_min_plus <= 0.0:
-        refusal = (
-            f"plus block is not uniformly positive: min eigenvalue {lambda_min_plus:.6e}"
-        )
-    else:
-        refusal = (
-            f"minus block is not uniformly negative: max eigenvalue {lambda_max_minus:.6e}"
-        )
-    return GapCertificate(
+        refusal = f"plus block is not uniformly positive: min eigenvalue {lambda_min_plus:.6e}"
+    elif lambda_max_minus >= 0.0:
+        refusal = f"minus block is not uniformly negative: max eigenvalue {lambda_max_minus:.6e}"
+    alpha_star = float(min(1.0, lambda_min_plus, -lambda_max_minus))
+    certificate = GapCertificate(
         lambda_min_plus=lambda_min_plus,
         lambda_max_minus=lambda_max_minus,
-        satisfied=False,
-        alpha_star=None,
+        satisfied=refusal is None,
+        alpha_star=alpha_star if refusal is None else None,
         refusal=refusal,
     )
+    return certificate, sym_a, sym_h, weight, h_vals
 
 
 def shifted_coefficient(
@@ -215,8 +215,12 @@ def shifted_coefficient(
     ``R H R + (A + I)^(-1) J``.  The shifted coefficient is the bounded
     middle factor of ``B + J`` with respect to ``(A + I)^(1/2)``.
     """
-    sym_h = symmetrize(mat_h, "coefficient")
-    weight = _clamped_weight(mat_a)
+    return _shifted_pair(_clamped_weight(mat_a), symmetrize(mat_h, "coefficient"), inv)
+
+
+def _shifted_pair(
+    weight: SpectralDecomposition, sym_h: np.ndarray, inv: Involution
+) -> tuple[np.ndarray, np.ndarray]:
     contraction = apply_fn(weight, lambda lam: np.sqrt(lam / (1.0 + lam)))
     resolvent_at_one = apply_fn(weight, lambda lam: 1.0 / (1.0 + lam))
     compressed = contraction @ sym_h @ contraction
@@ -224,6 +228,61 @@ def shifted_coefficient(
     return symmetrize(compressed, "compressed coefficient"), symmetrize(
         shifted, "shifted coefficient"
     )
+
+
+def _pairing(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Inner products ``<left_j, right_j>`` of matching columns (``vdot`` for vectors)."""
+    return np.einsum("i...,i...->...", np.conj(left), right)
+
+
+def _probe_residuals(
+    probes: list[tuple[np.ndarray, np.ndarray]],
+    scale: float,
+    form: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    *sides: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> list[float]:
+    """Largest ``|form(x, y) - side(x, y)| / (||x|| ||y|| scale)`` over the probes, per side.
+
+    The pairs are stacked as the columns of ``X`` and ``Y``; ``form`` and each
+    side map ``(X, Y)`` to the value of every column pair."""
+    if not probes:
+        raise MatrixValidationError("at least one probe pair is needed")
+    xs = np.column_stack([x for x, _ in probes])
+    ys = np.column_stack([y for _, y in probes])
+    norm_x = np.linalg.norm(xs, axis=0)
+    norm_y = np.linalg.norm(ys, axis=0)
+    if not (np.all(norm_x > 0.0) and np.all(norm_y > 0.0)):
+        raise MatrixValidationError("probe vectors must be nonzero")
+    target = form(xs, ys)
+    denom = norm_x * norm_y * scale
+    return [float(np.max(np.abs(target - side(xs, ys)) / denom)) for side in sides]
+
+
+def _represented_side(decomp: SpectralDecomposition):
+    """``<|B|^(1/2) x, sign(B) |B|^(1/2) y>`` on stacked probes, ``sign`` 0 in the kernel."""
+    abs_root = apply_fn(decomp, lambda lam: np.sqrt(abs(lam)))
+    zero_sign = apply_fn(decomp, _signum(decomp, 0.0))
+    return lambda xs, ys: _pairing(abs_root @ xs, zero_sign @ (abs_root @ ys))
+
+
+def _standalone(
+    mat_a: np.ndarray,
+    mat_h: np.ndarray,
+    probes: list[tuple[np.ndarray, np.ndarray]] | None,
+    seed: int,
+    side: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> float:
+    """Residual of ``side`` against the form, computed from the raw matrices."""
+    sym_a = symmetrize(mat_a, "weight")
+    sym_h = symmetrize(mat_h, "coefficient")
+    weight = _clamped_weight(sym_a)
+    root = apply_fn(weight, np.sqrt)
+    return _probe_residuals(
+        default_probes(sym_a.shape[0], seed=seed) if probes is None else probes,
+        (1.0 + weight.source_norm) * max(op_norm(sym_h), 1e-300),
+        lambda xs, ys: _pairing(root @ xs, sym_h @ (root @ ys)),
+        side,
+    )[0]
 
 
 def first_rep_residual(
@@ -238,23 +297,8 @@ def first_rep_residual(
     The defect per probe pair is divided by ``||x|| ||y|| * scale`` with
     ``scale = (1 + ||A||) ||H||``.
     """
-    sym_a = symmetrize(mat_a, "weight")
-    sym_h = symmetrize(mat_h, "coefficient")
     sym_b = symmetrize(operator, "operator")
-    root = weight_sqrt(sym_a)
-    scale = (1.0 + op_norm(sym_a)) * max(op_norm(sym_h), 1e-300)
-    if probes is None:
-        probes = default_probes(sym_a.shape[0], seed=seed)
-    worst = 0.0
-    for x, y in probes:
-        nx = float(np.linalg.norm(x))
-        ny = float(np.linalg.norm(y))
-        if nx == 0.0 or ny == 0.0:
-            raise MatrixValidationError("probe vectors must be nonzero")
-        form_side = np.vdot(root @ x, sym_h @ (root @ y))
-        op_side = np.vdot(x, sym_b @ y)
-        worst = max(worst, abs(form_side - op_side) / (nx * ny * scale))
-    return float(worst)
+    return _standalone(mat_a, mat_h, probes, seed, lambda xs, ys: _pairing(xs, sym_b @ ys))
 
 
 def second_rep_residual(
@@ -271,29 +315,8 @@ def second_rep_residual(
     spectral mapping of the operator and ``sign`` maps eigenvalues inside
     the kernel threshold to 0.
     """
-    sym_a = symmetrize(mat_a, "weight")
-    sym_h = symmetrize(mat_h, "coefficient")
     sym_b = symmetrize(operator, "operator")
-    decomp = eig_sym(sym_b)
-    tau = kernel_tol(decomp.n, decomp.source_norm)
-    abs_root = apply_fn(decomp, lambda lam: np.sqrt(abs(lam)))
-    zero_sign = apply_fn(
-        decomp, lambda lam: 0.0 if abs(lam) <= tau else (1.0 if lam > 0 else -1.0)
-    )
-    root = weight_sqrt(sym_a)
-    scale = (1.0 + op_norm(sym_a)) * max(op_norm(sym_h), 1e-300)
-    if probes is None:
-        probes = default_probes(sym_a.shape[0], seed=seed)
-    worst = 0.0
-    for x, y in probes:
-        nx = float(np.linalg.norm(x))
-        ny = float(np.linalg.norm(y))
-        if nx == 0.0 or ny == 0.0:
-            raise MatrixValidationError("probe vectors must be nonzero")
-        form_side = np.vdot(root @ x, sym_h @ (root @ y))
-        rep_side = np.vdot(abs_root @ x, zero_sign @ (abs_root @ y))
-        worst = max(worst, abs(form_side - rep_side) / (nx * ny * scale))
-    return float(worst)
+    return _standalone(mat_a, mat_h, probes, seed, _represented_side(eig_sym(sym_b)))
 
 
 def associate_general(
@@ -322,43 +345,51 @@ def associate_general(
     InternalCheckError
         If the two assembly routes disagree beyond ``1e-10 * scale``.
     """
-    certificate = check_gap_hypothesis(mat_a, mat_h, inv)
+    return _associate(mat_a, mat_h, inv, force, probe_seed)[0]
+
+
+def _associate(
+    mat_a: np.ndarray, mat_h: np.ndarray, inv: Involution, force: bool, probe_seed: int
+) -> tuple[RepresentationResult, SpectralDecomposition, SpectralDecomposition]:
+    """``associate_general``, also returning the clamped decomposition of the
+    weight and the decomposition of the associated matrix it was built from."""
+    certificate, sym_a, sym_h, weight, h_vals = _certify(mat_a, mat_h, inv)
     if not certificate.satisfied and not force:
         raise HypothesisRefusedError(
             f"spectral-gap condition refused: {certificate.refusal}"
         )
-    sym_a = symmetrize(mat_a, "weight")
-    sym_h = symmetrize(mat_h, "coefficient")
-    weight = _clamped_weight(sym_a)
     root = apply_fn(weight, np.sqrt)
     shifted_root = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
     operator = symmetrize(root @ sym_h @ root, "associated matrix")
-    compressed, shifted = shifted_coefficient(sym_a, sym_h, inv)
+    compressed, shifted = _shifted_pair(weight, sym_h, inv)
     via_shifted = shifted_root @ shifted @ shifted_root
-    scale = (1.0 + op_norm(sym_a)) * max(op_norm(sym_h), 1e-300)
+    scale = (1.0 + weight.source_norm) * max(float(np.max(np.abs(h_vals))), 1e-300)
     route_gap = float(np.linalg.norm(via_shifted - inv.matrix - operator, 2))
     if route_gap > 1e-10 * scale:
         raise InternalCheckError(
             f"assembly routes disagree: ||(B~ - J) - B|| = {route_gap:.3e} "
             f"exceeds {1e-10 * scale:.3e}"
         )
-    shifted_operator = operator + inv.matrix
-    gap_radius = min_abs_eig(shifted)
-    return RepresentationResult(
+    decomp = eig_sym(operator)
+    first, second = _probe_residuals(
+        default_probes(sym_a.shape[0], seed=probe_seed),
+        scale,
+        lambda xs, ys: _pairing(root @ xs, sym_h @ (root @ ys)),
+        lambda xs, ys: _pairing(xs, operator @ ys),
+        _represented_side(decomp),
+    )
+    result = RepresentationResult(
         operator=operator,
-        shifted_operator=shifted_operator,
+        shifted_operator=operator + inv.matrix,
         compressed_coefficient=compressed,
         shifted_coefficient=shifted,
-        gap_radius=gap_radius,
-        first_rep_residual=first_rep_residual(
-            sym_a, sym_h, operator, seed=probe_seed
-        ),
-        second_rep_residual=second_rep_residual(
-            sym_a, sym_h, operator, seed=probe_seed
-        ),
+        gap_radius=min_abs_eig(shifted),
+        first_rep_residual=first,
+        second_rep_residual=second,
         certificate=certificate,
         certified=certificate.satisfied,
     )
+    return result, weight, decomp
 
 
 def gap_certificate_check(result: RepresentationResult, inv: Involution) -> float:

@@ -9,10 +9,12 @@ a machine-readable report with one boolean per enabled check.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -23,16 +25,17 @@ from .errors import (
     InternalCheckError,
     SpecFormatError,
 )
-from .general import associate_general, check_gap_hypothesis, gap_certificate_check
+from .general import _associate, check_gap_hypothesis, gap_certificate_check
 from .involution import make_involution
 from .offdiag import (
+    _block_weight,
+    _kernel_report,
+    _verify_direct,
     assemble_offdiag,
-    direct_coefficient,
-    kernel_via_theorem,
     offdiag_problem,
 )
-from .spectral import op_norm, random_orthogonal
-from .stability import family_diagnostics, stability_suite
+from .spectral import eig_sym, random_orthogonal
+from .stability import _stability, family_diagnostics
 
 logger = logging.getLogger(__name__)
 
@@ -84,19 +87,7 @@ class Report:
         return 0 if self.passed else 1
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "spec_echo": self.spec_echo,
-            "checks": self.checks,
-            "passed": self.passed,
-            "exit_code": self.exit_code,
-            "certificate": self.certificate,
-            "representation": self.representation,
-            "kernel": self.kernel,
-            "stability": self.stability,
-            "family": self.family,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {**asdict(self), "passed": self.passed, "exit_code": self.exit_code}
 
 
 def _format_entry(value: float) -> str:
@@ -122,19 +113,35 @@ def _strings_to_matrix(rows: Any, name: str) -> np.ndarray:
     return data
 
 
-def spec_to_dict(spec: ProblemSpec) -> dict[str, Any]:
+def _matrix_digest(arr: np.ndarray) -> dict[str, Any]:
+    """Shape and SHA-256 of the float64 C-order bytes: the report's echo of a matrix."""
+    data = np.ascontiguousarray(arr, dtype=np.float64)
+    return {"shape": list(data.shape), "sha256": hashlib.sha256(data.tobytes()).hexdigest()}
+
+
+def _spec_dict(spec: ProblemSpec, encode: Callable[[np.ndarray], Any]) -> dict[str, Any]:
     out: dict[str, Any] = {
         "kind": spec.kind,
         "seed": int(spec.seed),
         "force": bool(spec.force),
         "tolerances": {k: float(v) for k, v in sorted(spec.tolerances.items())},
-        "matrices": {
-            name: _matrix_to_strings(mat) for name, mat in sorted(spec.matrices.items())
-        },
+        "matrices": {name: encode(mat) for name, mat in sorted(spec.matrices.items())},
     }
     if spec.kind == "family":
         out["family"] = {"name": spec.family_name, "sizes": list(spec.sizes or [])}
     return out
+
+
+def spec_to_dict(spec: ProblemSpec) -> dict[str, Any]:
+    return _spec_dict(spec, _matrix_to_strings)
+
+
+def _tolerance(name: str, value: Any) -> float:
+    """A tolerance must be a finite number above zero."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0 < value <= sys.float_info.max):
+        raise SpecFormatError(f"tolerance {name} must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 def spec_from_dict(raw: dict[str, Any]) -> ProblemSpec:
@@ -144,13 +151,13 @@ def spec_from_dict(raw: dict[str, Any]) -> ProblemSpec:
     if kind not in _KINDS:
         raise SpecFormatError(f"unknown kind {kind!r}; expected one of {_KINDS}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise SpecFormatError(f"seed must be a nonnegative integer, got {seed!r}")
     force = bool(raw.get("force", False))
     tolerances_raw = raw.get("tolerances", {}) or {}
     if not isinstance(tolerances_raw, dict):
         raise SpecFormatError("tolerances must be an object of name -> number")
-    tolerances = {str(k): float(v) for k, v in tolerances_raw.items()}
+    tolerances = {str(k): _tolerance(str(k), v) for k, v in tolerances_raw.items()}
 
     matrices_raw = raw.get("matrices", {}) or {}
     if not isinstance(matrices_raw, dict):
@@ -411,29 +418,6 @@ def gen_random(
 # ----------------------------------------------------------------------
 
 
-def _certificate_dict(cert) -> dict[str, Any]:
-    return {
-        "satisfied": bool(cert.satisfied),
-        "alpha_star": None if cert.alpha_star is None else float(cert.alpha_star),
-        "lambda_min_plus": float(cert.lambda_min_plus),
-        "lambda_max_minus": float(cert.lambda_max_minus),
-        "refusal": cert.refusal,
-    }
-
-
-def _stability_dict(report) -> dict[str, Any]:
-    return {
-        "norm_weighted_abs": report.norm_weighted_abs,
-        "norm_weighted_abs_inverse": report.norm_weighted_abs_inverse,
-        "norm_sign_conjugate": report.norm_sign_conjugate,
-        "involution_residual": report.involution_residual,
-        "inverse_pair_residual": report.inverse_pair_residual,
-        "sgn_invariance_residual": report.sgn_invariance_residual,
-        "shifted_gap": report.shifted_gap,
-        "conditions": dict(report.conditions),
-    }
-
-
 def _check_residuals_finite(report: Report) -> None:
     def walk(node: Any) -> None:
         if isinstance(node, dict):
@@ -455,48 +439,44 @@ def _run_general(spec: ProblemSpec) -> Report:
     inv = make_involution(spec.matrices["J"])
     checks: dict[str, bool] = {}
     try:
-        result = associate_general(
-            spec.matrices["A"], spec.matrices["H"], inv, force=spec.force, probe_seed=spec.seed
+        result, weight, decomp = _associate(
+            spec.matrices["A"], spec.matrices["H"], inv, spec.force, spec.seed
         )
     except HypothesisRefusedError as exc:
         cert = check_gap_hypothesis(spec.matrices["A"], spec.matrices["H"], inv)
         return Report(
             kind="general",
-            spec_echo=spec_to_dict(spec),
+            spec_echo=_spec_dict(spec, _matrix_digest),
             checks={"hypothesis_certified": False},
-            certificate=_certificate_dict(cert),
+            certificate=asdict(cert),
             representation={"refusal": str(exc)},
         )
     cert = result.certificate
     checks["first_rep_residual"] = result.first_rep_residual <= 1e-10 * tol
     checks["second_rep_residual"] = result.second_rep_residual <= 1e-10 * tol
+    margin = gap_certificate_check(result, inv)
     if result.certified:
-        margin = gap_certificate_check(result, inv)
         checks["gap_margin"] = margin >= -1e-8 * tol
         checks["gap_radius_above_alpha"] = (
             result.gap_radius >= (cert.alpha_star or 0.0) - 1e-8 * tol
         )
-    else:
-        margin = gap_certificate_check(result, inv)
-    stab = stability_suite(spec.matrices["A"], result.operator, zero_sign=1)
-    checks["stability_conditions_agree"] = stab.all_conditions_agree() and all(
-        stab.conditions.values()
-    )
+    stab = _stability(weight, result.operator, decomp, 1)
+    checks["stability_conditions_agree"] = all(stab.conditions.values())
     checks["shifted_unit_gap"] = stab.shifted_gap >= 1.0 - 1e-10 * tol
     report = Report(
         kind="general",
-        spec_echo=spec_to_dict(spec),
+        spec_echo=_spec_dict(spec, _matrix_digest),
         checks=checks,
-        certificate=_certificate_dict(cert),
+        certificate=asdict(cert),
         representation={
             "certified": result.certified,
             "first_rep_residual": result.first_rep_residual,
             "second_rep_residual": result.second_rep_residual,
             "gap_radius": result.gap_radius,
             "gap_margin": float(margin),
-            "operator_norm": op_norm(result.operator),
+            "operator_norm": decomp.source_norm,
         },
-        stability=_stability_dict(stab),
+        stability=asdict(stab),
     )
     _check_residuals_finite(report)
     return report
@@ -514,27 +494,26 @@ def _run_offdiag(spec: ProblemSpec) -> Report:
         "shifted_gap_at_least_one": result.gap_radius >= 1.0 - 1e-10 * tol,
     }
     try:
-        direct_coefficient(problem, verify=True)
+        _verify_direct(problem, result.compressed_coefficient, result.operator)
         checks["direct_coefficient_identity"] = True
     except InternalCheckError:
         checks["direct_coefficient_identity"] = False
-    kernel = kernel_via_theorem(problem)
+    decomp = eig_sym(result.operator)
+    kernel = _kernel_report(problem, decomp)
     checks["kernel_dims_match"] = kernel.dims_match
     checks["kernel_principal_angle"] = kernel.principal_angle <= 1e-8 * tol
-    stab = stability_suite(problem.full_weight(), result.operator, zero_sign=1)
-    checks["stability_conditions_agree"] = stab.all_conditions_agree() and all(
-        stab.conditions.values()
-    )
+    stab = _stability(_block_weight(problem), result.operator, decomp, 1)
+    checks["stability_conditions_agree"] = all(stab.conditions.values())
     report = Report(
         kind="offdiag",
-        spec_echo=spec_to_dict(spec),
+        spec_echo=_spec_dict(spec, _matrix_digest),
         checks=checks,
         representation={
             "first_rep_residual": result.first_rep_residual,
             "second_rep_residual": result.second_rep_residual,
             "gap_radius": result.gap_radius,
             "coupling_norm": problem.coupling_norm,
-            "operator_norm": op_norm(result.operator),
+            "operator_norm": decomp.source_norm,
         },
         kernel={
             "theorem_dim": kernel.theorem_kernel.dim,
@@ -545,7 +524,7 @@ def _run_offdiag(spec: ProblemSpec) -> Report:
             "annihilator_minus_dim": kernel.annihilator_minus.dim,
             "principal_angle": kernel.principal_angle,
         },
-        stability=_stability_dict(stab),
+        stability=asdict(stab),
     )
     _check_residuals_finite(report)
     return report
@@ -576,7 +555,7 @@ def _run_family(spec: ProblemSpec) -> Report:
         checks["gap_search_succeeds_every_size"] = all(diagnostics.gap_search_outcomes)
     report = Report(
         kind="family",
-        spec_echo=spec_to_dict(spec),
+        spec_echo=_spec_dict(spec, _matrix_digest),
         checks=checks,
         family={
             "name": spec.family_name,

@@ -20,7 +20,7 @@ from .errors import (
     MatrixValidationError,
     TrivialInvolutionError,
 )
-from .spectral import SubspaceBasis, eig_sym, kernel_tol, op_norm, symmetrize
+from .spectral import SubspaceBasis, eig_sym, op_norm, symmetrize
 
 #: Guard for the 2^n diagonal enumeration.
 MAX_ENUMERATION_DIM = 24
@@ -132,7 +132,11 @@ def commutes(
         )
     commutator = inv.matrix @ sym - sym @ inv.matrix
     residual = float(np.linalg.norm(commutator, 2))
-    return residual <= tol * max(op_norm(sym), _EPS_FLOOR), residual
+    # max |M_ij| <= ||M||, so the entry bound settles most verdicts without an eigensolve.
+    ok = residual <= tol * max(float(np.max(np.abs(sym))), _EPS_FLOOR) or (
+        residual <= tol * max(op_norm(sym), _EPS_FLOOR)
+    )
+    return ok, residual
 
 
 def block_decompose(mat: np.ndarray, inv: Involution) -> BlockDecomposition:

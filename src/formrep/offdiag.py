@@ -28,14 +28,18 @@ from .general import (
     GapCertificate,
     RepresentationResult,
     _clamped_weight,
+    _pairing,
+    _probe_residuals,
+    _represented_side,
     default_probes,
 )
 from .involution import Involution, canonical_involution
 from .spectral import (
+    SpectralDecomposition,
     SubspaceBasis,
+    _kernel_of,
     apply_fn,
     eig_sym,
-    kernel_tol,
     min_abs_eig,
     nullspace,
     op_norm,
@@ -54,12 +58,17 @@ class OffDiagonalProblem:
 
     ``coupling_norm`` is recomputed as the spectral norm of the embedded
     coupling matrix ``S``; it is never taken on trust from the caller.
+    ``weight_plus`` / ``weight_minus`` are the clamped decompositions of the
+    diagonal blocks made while validating them; every function of the
+    weight is mapped from them.
     """
 
     diag_plus: np.ndarray
     diag_minus: np.ndarray
     coupling: np.ndarray
     coupling_norm: float
+    weight_plus: SpectralDecomposition
+    weight_minus: SpectralDecomposition
 
     @property
     def dim_plus(self) -> int:
@@ -117,8 +126,8 @@ def offdiag_problem(
     """
     sym_plus = symmetrize(diag_plus, "plus weight block")
     sym_minus = symmetrize(diag_minus, "minus weight block")
-    _clamped_weight(sym_plus)
-    _clamped_weight(sym_minus)
+    weight_plus = _clamped_weight(sym_plus)
+    weight_minus = _clamped_weight(sym_minus)
     coup = np.asarray(coupling, dtype=np.float64)
     if coup.ndim != 2 or coup.shape != (sym_plus.shape[0], sym_minus.shape[0]):
         raise MatrixValidationError(
@@ -133,6 +142,8 @@ def offdiag_problem(
         diag_minus=sym_minus,
         coupling=coup,
         coupling_norm=norm,
+        weight_plus=weight_plus,
+        weight_minus=weight_minus,
     )
 
 
@@ -167,30 +178,43 @@ def check_offdiagonal(
     return residual <= tol * max(norm, np.finfo(np.float64).tiny), residual
 
 
-def _shifted_root(problem: OffDiagonalProblem) -> np.ndarray:
-    weight = _clamped_weight(problem.full_weight())
-    return apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
+def _block_weight(problem: OffDiagonalProblem) -> SpectralDecomposition:
+    """Decomposition of the block-diagonal weight, assembled from the blocks'."""
+    plus, minus = problem.weight_plus, problem.weight_minus
+    p = problem.dim_plus
+    vals = np.concatenate([plus.eigenvalues, minus.eigenvalues])
+    vecs = np.zeros((problem.dim, problem.dim))
+    vecs[:p, :p] = plus.eigenvectors
+    vecs[p:, p:] = minus.eigenvectors
+    order = np.argsort(vals, kind="stable")
+    return SpectralDecomposition(
+        eigenvalues=vals[order],
+        eigenvectors=vecs[:, order],
+        source_norm=max(plus.source_norm, minus.source_norm),
+    )
 
 
 def _form_scale(problem: OffDiagonalProblem) -> float:
-    return (1.0 + op_norm(problem.full_weight())) * (1.0 + problem.coupling_norm)
+    return (1.0 + _block_weight(problem).source_norm) * (1.0 + problem.coupling_norm)
 
 
 def form_evaluator(problem: OffDiagonalProblem):
     """Closure evaluating the form ``a[x, Jy] + v[x, y]`` from the raw data.
 
     The spectral factors are precomputed once; the returned callable is the
-    independent side of every representation-residual comparison.
+    independent side of every representation-residual comparison.  Given
+    probe vectors it returns the form value; given probes stacked as the
+    columns of two matrices it returns the value of each column pair.
     """
-    weight = _clamped_weight(problem.full_weight())
+    weight = _block_weight(problem)
     root = apply_fn(weight, np.sqrt)
     shifted_root = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
     j_mat = problem.splitting().matrix
     s_mat = problem.full_coupling()
 
-    def value(x: np.ndarray, y: np.ndarray) -> complex:
-        diag_part = np.vdot(root @ x, j_mat @ (root @ y))
-        coupling_part = np.vdot(s_mat @ (shifted_root @ x), shifted_root @ y)
+    def value(x: np.ndarray, y: np.ndarray):
+        diag_part = _pairing(root @ x, j_mat @ (root @ y))
+        coupling_part = _pairing(s_mat @ (shifted_root @ x), shifted_root @ y)
         return diag_part + coupling_part
 
     return value
@@ -198,13 +222,18 @@ def form_evaluator(problem: OffDiagonalProblem):
 
 def shifted_block_coefficient(problem: OffDiagonalProblem) -> np.ndarray:
     """The shifted coefficient ``[[I, T], [T*, -I]]``."""
-    p, q = problem.dim_plus, problem.dim_minus
-    out = np.zeros((p + q, p + q))
-    out[:p, :p] = np.eye(p)
-    out[p:, p:] = -np.eye(q)
-    out[:p, p:] = problem.coupling
-    out[p:, :p] = problem.coupling.conj().T
-    return out
+    return problem.splitting().matrix + problem.full_coupling()
+
+
+def _assembled(problem: OffDiagonalProblem) -> tuple[np.ndarray, np.ndarray]:
+    """``(B + J, B)`` with ``B + J = (A+I)^(1/2) [[I, T], [T*, -I]] (A+I)^(1/2)``."""
+    shifted_root = apply_fn(_block_weight(problem), lambda lam: np.sqrt(1.0 + lam))
+    shifted_operator = symmetrize(
+        shifted_root @ shifted_block_coefficient(problem) @ shifted_root,
+        "shifted operator",
+    )
+    operator = symmetrize(shifted_operator - problem.splitting().matrix, "associated matrix")
+    return shifted_operator, operator
 
 
 def assemble_offdiag(
@@ -217,48 +246,26 @@ def assemble_offdiag(
     evaluated directly from the problem data.  The gap certificate is
     automatic here: the splitting itself creates the gap with margin 1.
     """
-    inv = problem.splitting()
     shifted_coeff = shifted_block_coefficient(problem)
-    shifted_root = _shifted_root(problem)
-    shifted_operator = symmetrize(
-        shifted_root @ shifted_coeff @ shifted_root, "shifted operator"
-    )
-    operator = symmetrize(shifted_operator - inv.matrix, "associated matrix")
-    gap_radius = min_abs_eig(shifted_coeff)
-
-    scale = _form_scale(problem)
-    probes = default_probes(problem.dim, seed=probe_seed)
-    decomp = eig_sym(operator)
-    tau = kernel_tol(decomp.n, decomp.source_norm)
-    abs_root = apply_fn(decomp, lambda lam: np.sqrt(abs(lam)))
-    zero_sign = apply_fn(
-        decomp, lambda lam: 0.0 if abs(lam) <= tau else (1.0 if lam > 0 else -1.0)
-    )
-    form_value = form_evaluator(problem)
-    first = 0.0
-    second = 0.0
-    for x, y in probes:
-        denom = float(np.linalg.norm(x)) * float(np.linalg.norm(y)) * scale
-        form_side = form_value(x, y)
-        first = max(first, abs(form_side - np.vdot(x, operator @ y)) / denom)
-        rep_side = np.vdot(abs_root @ x, zero_sign @ (abs_root @ y))
-        second = max(second, abs(form_side - rep_side) / denom)
-
-    certificate = GapCertificate(
-        lambda_min_plus=1.0,
-        lambda_max_minus=-1.0,
-        satisfied=True,
-        alpha_star=1.0,
+    shifted_operator, operator = _assembled(problem)
+    first, second = _probe_residuals(
+        default_probes(problem.dim, seed=probe_seed),
+        _form_scale(problem),
+        form_evaluator(problem),
+        lambda xs, ys: _pairing(xs, operator @ ys),
+        _represented_side(eig_sym(operator)),
     )
     return RepresentationResult(
         operator=operator,
         shifted_operator=shifted_operator,
         compressed_coefficient=direct_coefficient(problem, verify=False),
         shifted_coefficient=shifted_coeff,
-        gap_radius=gap_radius,
-        first_rep_residual=float(first),
-        second_rep_residual=float(second),
-        certificate=certificate,
+        gap_radius=min_abs_eig(shifted_coeff),
+        first_rep_residual=first,
+        second_rep_residual=second,
+        certificate=GapCertificate(
+            lambda_min_plus=1.0, lambda_max_minus=-1.0, satisfied=True, alpha_star=1.0
+        ),
         certified=True,
     )
 
@@ -273,36 +280,36 @@ def direct_coefficient(
     shift.  With ``verify=True`` the identity is checked to
     ``1e-10 * scale``.
     """
-    p, q = problem.dim_plus, problem.dim_minus
-    res_plus = apply_fn(_clamped_weight(problem.diag_plus), lambda lam: 1.0 / (1.0 + lam))
-    res_minus = apply_fn(_clamped_weight(problem.diag_minus), lambda lam: 1.0 / (1.0 + lam))
-    out = np.zeros((p + q, p + q))
-    out[:p, :p] = np.eye(p) - res_plus
-    out[p:, p:] = -np.eye(q) + res_minus
-    out[:p, p:] = problem.coupling
-    out[p:, :p] = problem.coupling.conj().T
+    p = problem.dim_plus
+    out = shifted_block_coefficient(problem)
+    out[:p, :p] -= apply_fn(problem.weight_plus, lambda lam: 1.0 / (1.0 + lam))
+    out[p:, p:] += apply_fn(problem.weight_minus, lambda lam: 1.0 / (1.0 + lam))
     if verify:
-        shifted_root = _shifted_root(problem)
-        rebuilt = shifted_root @ out @ shifted_root
-        operator = assemble_offdiag(problem).operator
-        defect = float(np.linalg.norm(rebuilt - operator, 2))
-        tol = 1e-10 * _form_scale(problem)
-        if defect > tol:
-            raise InternalCheckError(
-                f"direct-coefficient identity breached: {defect:.3e} > {tol:.3e}"
-            )
+        _verify_direct(problem, out, _assembled(problem)[1])
     return out
 
 
+def _verify_direct(
+    problem: OffDiagonalProblem, coefficient: np.ndarray, operator: np.ndarray
+) -> None:
+    """Check ``B = (A+I)^(1/2) C (A+I)^(1/2)`` for the direct coefficient ``C``."""
+    shifted_root = apply_fn(_block_weight(problem), lambda lam: np.sqrt(1.0 + lam))
+    rebuilt = shifted_root @ coefficient @ shifted_root
+    defect = float(np.linalg.norm(rebuilt - operator, 2))
+    tol = 1e-10 * _form_scale(problem)
+    if defect > tol:
+        raise InternalCheckError(
+            f"direct-coefficient identity breached: {defect:.3e} > {tol:.3e}"
+        )
+
+
 def _annihilator(
-    weight_block: np.ndarray, kernel_of_adjoint: SubspaceBasis
+    weight_block: SpectralDecomposition, kernel_of_adjoint: SubspaceBasis
 ) -> SubspaceBasis:
     """Image of a coupling kernel under ``(A_pm + I)^(-1/2)``, orthonormalized."""
     if kernel_of_adjoint.dim == 0:
-        return SubspaceBasis.trivial(weight_block.shape[0])
-    inv_root = apply_fn(
-        _clamped_weight(weight_block), lambda lam: 1.0 / np.sqrt(1.0 + lam)
-    )
+        return SubspaceBasis.trivial(weight_block.n)
+    inv_root = apply_fn(weight_block, lambda lam: 1.0 / np.sqrt(1.0 + lam))
     return orthonormal_columns(inv_root @ kernel_of_adjoint.vectors)
 
 
@@ -315,15 +322,23 @@ def kernel_via_theorem(problem: OffDiagonalProblem) -> KernelReport:
     both bases, the largest principal angle between them, and a dimension
     comparison.
     """
+    return _kernel_report(problem, eig_sym(_assembled(problem)[1]))
+
+
+def _kernel_report(
+    problem: OffDiagonalProblem, decomp: SpectralDecomposition
+) -> KernelReport:
+    """``kernel_via_theorem`` with the oracle taken from the decomposition
+    ``decomp`` of the assembled matrix."""
     p, q = problem.dim_plus, problem.dim_minus
-    ker_plus = nullspace(problem.diag_plus)
-    ker_minus = nullspace(problem.diag_minus)
+    ker_plus = _kernel_of(problem.weight_plus)
+    ker_minus = _kernel_of(problem.weight_minus)
 
     coupling = problem.coupling
     ker_adjoint = nullspace(coupling @ coupling.conj().T)  # ker T* in plus space
     ker_coupling = nullspace(coupling.conj().T @ coupling)  # ker T in minus space
-    annihilator_plus = _annihilator(problem.diag_plus, ker_adjoint)
-    annihilator_minus = _annihilator(problem.diag_minus, ker_coupling)
+    annihilator_plus = _annihilator(problem.weight_plus, ker_adjoint)
+    annihilator_minus = _annihilator(problem.weight_minus, ker_coupling)
 
     _definitional_cross_check(problem, annihilator_plus, annihilator_minus)
 
@@ -334,9 +349,7 @@ def kernel_via_theorem(problem: OffDiagonalProblem) -> KernelReport:
     total[:p, : meet_plus.dim] = meet_plus.vectors
     total[p:, meet_plus.dim :] = meet_minus.vectors
     theorem_kernel = SubspaceBasis(total)
-
-    operator = assemble_offdiag(problem).operator
-    oracle_kernel = nullspace(operator)
+    oracle_kernel = _kernel_of(decomp)
 
     return KernelReport(
         ker_diag_plus=ker_plus,
@@ -363,27 +376,17 @@ def _definitional_cross_check(
     mapping step between the coupling kernels and the annihilators.
     """
     tol = 1e-8 * (1.0 + problem.coupling_norm) * np.sqrt(
-        1.0 + op_norm(problem.full_weight())
+        1.0 + _block_weight(problem).source_norm
     )
-    if annihilator_plus.dim:
-        grown = apply_fn(
-            _clamped_weight(problem.diag_plus), lambda lam: np.sqrt(1.0 + lam)
-        )
-        defect = float(
-            np.linalg.norm(problem.coupling.conj().T @ grown @ annihilator_plus.vectors, 2)
-        )
-        if defect > tol:
-            raise InternalCheckError(
-                f"plus annihilator fails the defining pairing: {defect:.3e} > {tol:.3e}"
-            )
-    if annihilator_minus.dim:
-        grown = apply_fn(
-            _clamped_weight(problem.diag_minus), lambda lam: np.sqrt(1.0 + lam)
-        )
-        defect = float(
-            np.linalg.norm(problem.coupling @ grown @ annihilator_minus.vectors, 2)
-        )
-        if defect > tol:
-            raise InternalCheckError(
-                f"minus annihilator fails the defining pairing: {defect:.3e} > {tol:.3e}"
-            )
+    halves = (
+        ("plus", problem.weight_plus, problem.coupling.conj().T, annihilator_plus),
+        ("minus", problem.weight_minus, problem.coupling, annihilator_minus),
+    )
+    for label, weight, adjoint, annihilator in halves:
+        if annihilator.dim:
+            grown = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
+            defect = float(np.linalg.norm(adjoint @ grown @ annihilator.vectors, 2))
+            if defect > tol:
+                raise InternalCheckError(
+                    f"{label} annihilator fails the defining pairing: {defect:.3e} > {tol:.3e}"
+                )

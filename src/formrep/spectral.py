@@ -70,13 +70,14 @@ def symmetrize(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
         raise MatrixValidationError(f"{name} contains NaN or Inf entries")
     arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
     herm = arr.conj().T
-    asym = float(np.max(np.abs(arr - herm))) if arr.size else 0.0
-    norm = float(np.linalg.norm(arr, 2)) if arr.size else 0.0
-    if asym > SYMMETRY_SLACK * EPS * max(norm, 1.0):
-        raise MatrixValidationError(
-            f"{name} is not self-adjoint: asymmetry {asym:.3e} exceeds "
-            f"{SYMMETRY_SLACK * EPS * max(norm, 1.0):.3e}"
-        )
+    asym = float(np.max(np.abs(arr - herm)))
+    # max |M_ij| <= ||M||, so the entry bound accepts most inputs without an SVD.
+    if asym > SYMMETRY_SLACK * EPS * max(float(np.max(np.abs(arr))), 1.0):
+        bound = SYMMETRY_SLACK * EPS * max(float(np.linalg.norm(arr, 2)), 1.0)
+        if asym > bound:
+            raise MatrixValidationError(
+                f"{name} is not self-adjoint: asymmetry {asym:.3e} exceeds {bound:.3e}"
+            )
     return (arr + herm) / 2.0
 
 
@@ -149,17 +150,10 @@ def _fix_column_phases(vecs: np.ndarray) -> np.ndarray:
     Columns are unit vectors, so the entry of largest magnitude is at least
     ``n**-1/2``; any entry above ``1e-8`` is therefore 'significant'.
     """
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col) > 1e-8))
-        pivot = col[idx]
-        if np.iscomplexobj(out):
-            if abs(pivot) > 0:
-                out[:, j] = col * (pivot.conjugate() / abs(pivot))
-        elif pivot < 0:
-            out[:, j] = -col
-    return out
+    pivots = vecs[np.argmax(np.abs(vecs) > 1e-8, axis=0), np.arange(vecs.shape[1])]
+    if np.iscomplexobj(vecs):
+        return vecs * (pivots.conj() / np.abs(pivots))
+    return vecs * np.where(pivots < 0, -1.0, 1.0)
 
 
 def eig_sym(mat: np.ndarray) -> SpectralDecomposition:
@@ -210,9 +204,13 @@ def apply_fn(
         mapped[i] = val
     vecs = decomp.eigenvectors
     out = (vecs * mapped) @ vecs.conj().T
-    if np.iscomplexobj(out):
-        return (out + out.conj().T) / 2.0
-    return (out + out.T) / 2.0
+    return (out + out.conj().T) / 2.0
+
+
+def _signum(decomp: SpectralDecomposition, zero: float) -> Callable[[float], float]:
+    """Sign of an eigenvalue of ``decomp``, ``zero`` within the kernel threshold."""
+    tau = kernel_tol(decomp.n, decomp.source_norm)
+    return lambda lam: zero if abs(lam) <= tau else (1.0 if lam > 0 else -1.0)
 
 
 def matrix_function(mat: np.ndarray, fn: Callable[[float], float]) -> np.ndarray:
@@ -240,23 +238,25 @@ def nullspace(
     most ``tau``, where ``tau = tol_policy(n, ||M||)`` (default policy
     ``kernel_tol``).  An empty basis is a valid result.
     """
-    decomp = eig_sym(mat)
+    return _kernel_of(eig_sym(mat), tol_policy)
+
+
+def _kernel_of(
+    decomp: SpectralDecomposition, tol_policy: TolPolicy | float | None = None
+) -> SubspaceBasis:
+    """``nullspace`` of the matrix that ``decomp`` decomposes."""
     tau = _resolve_tol(decomp.n, decomp.source_norm, tol_policy)
-    keep = np.abs(decomp.eigenvalues) <= tau
-    vectors = decomp.eigenvectors[:, keep]
-    return SubspaceBasis(vectors)
+    return SubspaceBasis(decomp.eigenvectors[:, np.abs(decomp.eigenvalues) <= tau])
 
 
 def op_norm(mat: np.ndarray) -> float:
     """Spectral norm ``max |eigenvalue|`` of a self-adjoint matrix."""
-    decomp = eig_sym(mat)
-    return decomp.source_norm
+    return float(np.max(np.abs(np.linalg.eigvalsh(symmetrize(mat)))))
 
 
 def min_abs_eig(mat: np.ndarray) -> float:
     """Smallest eigenvalue magnitude of a self-adjoint matrix."""
-    decomp = eig_sym(mat)
-    return float(np.min(np.abs(decomp.eigenvalues)))
+    return float(np.min(np.abs(np.linalg.eigvalsh(symmetrize(mat)))))
 
 
 def resolvent_identity_residual(

@@ -21,9 +21,11 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import EnumerationBoundError, InternalCheckError, FormrepError
-from .general import _clamped_weight, check_gap_hypothesis, weight_sqrt
+from .general import _clamped_weight, check_gap_hypothesis
 from .involution import Involution, enumerate_diagonal_involutions
 from .spectral import (
+    SpectralDecomposition,
+    _signum,
     apply_fn,
     eig_sym,
     kernel_tol,
@@ -88,11 +90,7 @@ def sgn_matrix(mat: np.ndarray, zero_sign: int = 1) -> np.ndarray:
     """
     s = _validate_zero_sign(zero_sign)
     decomp = eig_sym(mat)
-    tau = kernel_tol(decomp.n, decomp.source_norm)
-    return apply_fn(
-        decomp,
-        lambda lam: float(s) if abs(lam) <= tau else (1.0 if lam > 0 else -1.0),
-    )
+    return apply_fn(decomp, _signum(decomp, float(s)))
 
 
 def stability_suite(
@@ -115,19 +113,18 @@ def stability_suite(
         raise FormrepError(
             f"dimension mismatch: weight {sym_a.shape[0]}, operator {sym_b.shape[0]}"
         )
-    n = sym_a.shape[0]
-    eye = np.eye(n)
+    return _stability(_clamped_weight(sym_a), sym_b, eig_sym(sym_b), s)
 
-    weight = _clamped_weight(sym_a)
+
+def _stability(
+    weight: SpectralDecomposition, sym_b: np.ndarray, decomp: SpectralDecomposition, s: int
+) -> StabilityReport:
+    """``stability_suite`` on the clamped decomposition of the weight and the
+    decomposition ``decomp`` of the operator ``sym_b``."""
+    eye = np.eye(sym_b.shape[0])
     grow = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
     shrink = apply_fn(weight, lambda lam: 1.0 / np.sqrt(1.0 + lam))
-
-    decomp = eig_sym(sym_b)
-    tau = kernel_tol(decomp.n, decomp.source_norm)
-
-    def signed(lam: float) -> float:
-        return float(s) if abs(lam) <= tau else (1.0 if lam > 0 else -1.0)
-
+    signed = _signum(decomp, float(s))
     sign_mat = apply_fn(decomp, signed)
     shifted_gap = min_abs_eig(sym_b + sign_mat)
     if shifted_gap < 1.0 - 1e-10:
@@ -144,45 +141,29 @@ def stability_suite(
     shifted_inverse_pair = grow @ inv_shifted @ grow
     shifted_forward_pair = shrink @ (sym_b + sign_mat) @ shrink
 
-    norm_x = float(np.linalg.norm(weighted_abs, 2))
-    norm_y = float(np.linalg.norm(weighted_abs_inverse, 2))
-    norm_k = float(np.linalg.norm(sign_conjugate, 2))
-    norm_xt = float(np.linalg.norm(shifted_inverse_pair, 2))
+    def norm(mat: np.ndarray) -> float:
+        return float(np.linalg.norm(mat, 2))
 
-    involution_residual = float(
-        np.linalg.norm(sign_conjugate @ sign_conjugate - eye, 2)
-    )
-    inverse_pair_residual = float(
-        max(
-            np.linalg.norm(shifted_inverse_pair @ shifted_forward_pair - eye, 2),
-            np.linalg.norm(shifted_forward_pair @ shifted_inverse_pair - eye, 2),
-        )
-    )
-    xy_residual = float(
-        max(
-            np.linalg.norm(weighted_abs @ weighted_abs_inverse - eye, 2),
-            np.linalg.norm(weighted_abs_inverse @ weighted_abs - eye, 2),
-        )
-    )
-    chain_residual = float(
-        np.linalg.norm(sign_conjugate - shifted_inverse_pair @ weighted_abs, 2)
+    def inverse_defect(first: np.ndarray, second: np.ndarray) -> float:
+        return max(norm(first @ second - eye), norm(second @ first - eye))
+
+    norm_x = norm(weighted_abs)
+    norm_y = norm(weighted_abs_inverse)
+    norm_k = norm(sign_conjugate)
+    norm_xt = norm(shifted_inverse_pair)
+
+    involution_residual = norm(sign_conjugate @ sign_conjugate - eye)
+    inverse_pair_residual = inverse_defect(shifted_inverse_pair, shifted_forward_pair)
+    xy_residual = inverse_defect(weighted_abs, weighted_abs_inverse)
+    chain_residual = norm(sign_conjugate - shifted_inverse_pair @ weighted_abs)
+
+    sign_gap = sign_mat - apply_fn(decomp, _signum(decomp, 0.0))
+    sgn_invariance_residual = max(
+        norm(sign_gap @ sym_b), norm(sign_gap @ apply_fn(decomp, abs))
     )
 
-    plain_sign = apply_fn(
-        decomp, lambda lam: 0.0 if abs(lam) <= tau else (1.0 if lam > 0 else -1.0)
-    )
-    sign_gap = sign_mat - plain_sign
-    sgn_invariance_residual = float(
-        max(
-            np.linalg.norm(sign_gap @ sym_b, 2),
-            np.linalg.norm(sign_gap @ apply_fn(decomp, abs), 2),
-        )
-    )
-
-    sym_defect_x = float(np.linalg.norm(weighted_abs - weighted_abs.conj().T, 2))
-    sym_defect_y = float(
-        np.linalg.norm(weighted_abs_inverse - weighted_abs_inverse.conj().T, 2)
-    )
+    sym_defect_x = norm(weighted_abs - weighted_abs.conj().T)
+    sym_defect_y = norm(weighted_abs_inverse - weighted_abs_inverse.conj().T)
 
     flag_x = bool(
         np.isfinite(weighted_abs).all() and sym_defect_x <= FLAG_TOL * max(1.0, norm_x)
@@ -345,6 +326,7 @@ def family_diagnostics(
     condition number, and the conjugated-coefficient norm (the
     finite-dimensional proxy for coefficient-preserves-domain).
     """
+    s = _validate_zero_sign(zero_sign)
     sizes = list(sizes)
     for idx in sizes:
         if idx > MAX_FAMILY_INDEX:
@@ -381,13 +363,13 @@ def family_diagnostics(
                 break
         outcomes.append(any_certified)
 
-        root = weight_sqrt(sym_a)
+        weight = _clamped_weight(sym_a)
+        root = apply_fn(weight, np.sqrt)
         operator = symmetrize(root @ sym_h @ root, "family operator")
-        report = stability_suite(sym_a, operator, zero_sign)
+        report = _stability(weight, operator, eig_sym(operator), s)
 
         weight_vals = np.abs(np.linalg.eigvalsh(sym_a))
         cond = float(weight_vals.max() / weight_vals.min()) if weight_vals.min() > 0 else float("inf")
-        weight = _clamped_weight(sym_a)
         grow = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
         shrink = apply_fn(weight, lambda lam: 1.0 / np.sqrt(1.0 + lam))
         conj_norm = float(np.linalg.norm(grow @ sym_h @ shrink, 2))

@@ -1,5 +1,6 @@
 """Problem-file I/O, generators, orchestration, and the CLI contract."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -28,6 +29,19 @@ MINIMAL_GENERAL = {
         "H": [["2", "0.5"], ["0.5", "-3"]],
         "J": [["1", "0"], ["0", "-1"]],
     },
+}
+
+
+#: Malformed input: (spec fields replaced, extra CLI flags).
+MALFORMED = {
+    "tol_scale_list": ({"tolerances": {"tol_scale": [1]}}, []),
+    "tol_scale_negative": ({"tolerances": {"tol_scale": -1}}, []),
+    "tol_scale_zero": ({"tolerances": {"tol_scale": 0}}, []),
+    "tol_scale_nan_string": ({"tolerances": {"tol_scale": "nan"}}, []),
+    "seed_bool": ({"seed": True}, []),
+    "flag_tol_scale_negative": ({}, ["--tol-scale=-1"]),
+    "flag_tol_scale_zero": ({}, ["--tol-scale=0"]),
+    "flag_tol_scale_nan": ({}, ["--tol-scale=nan"]),
 }
 
 
@@ -323,3 +337,23 @@ class TestCli:
         path = str(tmp_path / "tol.json")
         save_spec(gen_random("general", 4, seed=6), path)
         assert main(["verify", path, "--tol-scale", "100"]) == 0
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_exit_two_one_line(self, tmp_path, capsys, case):
+        fields, flags = MALFORMED[case]
+        path = write_json(tmp_path, {**MINIMAL_GENERAL, **fields})
+        assert main(["verify", path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_spec_echo_digests_the_matrices(self, tmp_path):
+        spec = gen_random("offdiag", (3, 2), seed=4)
+        report = run(spec)
+        echo = report.spec_echo
+        assert (echo["kind"], echo["seed"], echo["force"]) == ("offdiag", 4, False)
+        for name, mat in spec.matrices.items():
+            digest = hashlib.sha256(np.ascontiguousarray(mat, dtype=np.float64).tobytes())
+            assert echo["matrices"][name] == {
+                "shape": list(mat.shape),
+                "sha256": digest.hexdigest(),
+            }

@@ -1,5 +1,7 @@
 """Spectral-core tests: decomposition, matrix functions, nullspaces, norms."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,19 @@ class TestSymmetrize:
         mat = np.array([[1.0, 1.0 + 1e-16], [1.0, 2.0]])
         out = symmetrize(mat)
         np.testing.assert_allclose(out, out.T)
+
+    def test_entry_bound_defers_to_the_spectral_norm(self):
+        # All ones: max entry 1, 2-norm 64.  Only the 2-norm admits 1000 eps.
+        eps = np.finfo(np.float64).eps
+        accepted = np.ones((64, 64))
+        accepted[0, 1] += 1000 * eps
+        np.testing.assert_array_equal(symmetrize(accepted), symmetrize(accepted).T)
+        rejected = np.ones((64, 64))
+        rejected[0, 1] += 10000 * eps
+        bound = 100 * eps * np.linalg.norm(rejected, 2)
+        message = f"matrix is not self-adjoint: asymmetry {10000 * eps:.3e} exceeds {bound:.3e}"
+        with pytest.raises(MatrixValidationError, match=re.escape(message)):
+            symmetrize(rejected)
 
     def test_rejects_one_by_zero(self):
         with pytest.raises(MatrixValidationError):
