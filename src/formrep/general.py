@@ -85,6 +85,9 @@ class RepresentationResult:
     and off-diagonal coupling cannot move spectrum into the gap.  When the
     weight has a nontrivial kernel, ``gap_radius <= 1``: a unit ``x`` in
     ``ker A`` has ``shifted_coefficient @ x = J x``, of norm 1.
+
+    ``weight`` (clamped) and ``decomposition`` are the decompositions of the
+    weight and of ``operator`` that the result was built from.
     """
 
     operator: np.ndarray
@@ -96,6 +99,8 @@ class RepresentationResult:
     second_rep_residual: float
     certificate: GapCertificate
     certified: bool
+    weight: SpectralDecomposition
+    decomposition: SpectralDecomposition
 
 
 def _clamped_weight(mat: np.ndarray) -> SpectralDecomposition:
@@ -345,14 +350,6 @@ def associate_general(
     InternalCheckError
         If the two assembly routes disagree beyond ``1e-10 * scale``.
     """
-    return _associate(mat_a, mat_h, inv, force, probe_seed)[0]
-
-
-def _associate(
-    mat_a: np.ndarray, mat_h: np.ndarray, inv: Involution, force: bool, probe_seed: int
-) -> tuple[RepresentationResult, SpectralDecomposition, SpectralDecomposition]:
-    """``associate_general``, also returning the clamped decomposition of the
-    weight and the decomposition of the associated matrix it was built from."""
     certificate, sym_a, sym_h, weight, h_vals = _certify(mat_a, mat_h, inv)
     if not certificate.satisfied and not force:
         raise HypothesisRefusedError(
@@ -378,7 +375,7 @@ def _associate(
         lambda xs, ys: _pairing(xs, operator @ ys),
         _represented_side(decomp),
     )
-    result = RepresentationResult(
+    return RepresentationResult(
         operator=operator,
         shifted_operator=operator + inv.matrix,
         compressed_coefficient=compressed,
@@ -388,8 +385,9 @@ def _associate(
         second_rep_residual=second,
         certificate=certificate,
         certified=certificate.satisfied,
+        weight=weight,
+        decomposition=decomp,
     )
-    return result, weight, decomp
 
 
 def gap_certificate_check(result: RepresentationResult, inv: Involution) -> float:

@@ -25,16 +25,10 @@ from .errors import (
     InternalCheckError,
     SpecFormatError,
 )
-from .general import _associate, check_gap_hypothesis, gap_certificate_check
+from .general import associate_general, check_gap_hypothesis, gap_certificate_check
 from .involution import make_involution
-from .offdiag import (
-    _block_weight,
-    _kernel_report,
-    _verify_direct,
-    assemble_offdiag,
-    offdiag_problem,
-)
-from .spectral import eig_sym, random_orthogonal
+from .offdiag import _kernel_report, _verify_direct, assemble_offdiag, offdiag_problem
+from .spectral import random_orthogonal
 from .stability import _stability, family_diagnostics
 
 logger = logging.getLogger(__name__)
@@ -45,6 +39,9 @@ _SQUARE_SYMMETRIC = {"A", "H", "J", "A_plus", "A_minus"}
 
 MAX_FAMILY_SIZE = 64
 MAX_RANDOM_DIM = 512
+
+#: Largest entry magnitude in a problem file: products of two entries stay finite.
+MAX_ENTRY = 1e150
 
 
 @dataclass
@@ -110,6 +107,8 @@ def _strings_to_matrix(rows: Any, name: str) -> np.ndarray:
         raise SpecFormatError(f"matrix {name} has a non-numeric entry: {exc}") from exc
     if not np.isfinite(data).all():
         raise SpecFormatError(f"matrix {name} contains NaN or Inf")
+    if np.max(np.abs(data)) > MAX_ENTRY:
+        raise SpecFormatError(f"matrix {name} has an entry of magnitude above {MAX_ENTRY:g}")
     return data
 
 
@@ -439,7 +438,7 @@ def _run_general(spec: ProblemSpec) -> Report:
     inv = make_involution(spec.matrices["J"])
     checks: dict[str, bool] = {}
     try:
-        result, weight, decomp = _associate(
+        result = associate_general(
             spec.matrices["A"], spec.matrices["H"], inv, spec.force, spec.seed
         )
     except HypothesisRefusedError as exc:
@@ -460,7 +459,7 @@ def _run_general(spec: ProblemSpec) -> Report:
         checks["gap_radius_above_alpha"] = (
             result.gap_radius >= (cert.alpha_star or 0.0) - 1e-8 * tol
         )
-    stab = _stability(weight, result.operator, decomp, 1)
+    stab = _stability(result.weight, result.operator, result.decomposition, 1)
     checks["stability_conditions_agree"] = all(stab.conditions.values())
     checks["shifted_unit_gap"] = stab.shifted_gap >= 1.0 - 1e-10 * tol
     report = Report(
@@ -474,7 +473,7 @@ def _run_general(spec: ProblemSpec) -> Report:
             "second_rep_residual": result.second_rep_residual,
             "gap_radius": result.gap_radius,
             "gap_margin": float(margin),
-            "operator_norm": decomp.source_norm,
+            "operator_norm": result.decomposition.source_norm,
         },
         stability=asdict(stab),
     )
@@ -498,11 +497,10 @@ def _run_offdiag(spec: ProblemSpec) -> Report:
         checks["direct_coefficient_identity"] = True
     except InternalCheckError:
         checks["direct_coefficient_identity"] = False
-    decomp = eig_sym(result.operator)
-    kernel = _kernel_report(problem, decomp)
+    kernel = _kernel_report(problem, result.decomposition)
     checks["kernel_dims_match"] = kernel.dims_match
     checks["kernel_principal_angle"] = kernel.principal_angle <= 1e-8 * tol
-    stab = _stability(_block_weight(problem), result.operator, decomp, 1)
+    stab = _stability(result.weight, result.operator, result.decomposition, 1)
     checks["stability_conditions_agree"] = all(stab.conditions.values())
     report = Report(
         kind="offdiag",
@@ -513,7 +511,7 @@ def _run_offdiag(spec: ProblemSpec) -> Report:
             "second_rep_residual": result.second_rep_residual,
             "gap_radius": result.gap_radius,
             "coupling_norm": problem.coupling_norm,
-            "operator_norm": decomp.source_norm,
+            "operator_norm": result.decomposition.source_norm,
         },
         kernel={
             "theorem_dim": kernel.theorem_kernel.dim,

@@ -58,9 +58,9 @@ class OffDiagonalProblem:
 
     ``coupling_norm`` is recomputed as the spectral norm of the embedded
     coupling matrix ``S``; it is never taken on trust from the caller.
-    ``weight_plus`` / ``weight_minus`` are the clamped decompositions of the
-    diagonal blocks made while validating them; every function of the
-    weight is mapped from them.
+    ``weight_plus`` / ``weight_minus`` are the clamped block decompositions
+    made while validating, ``weight`` the block-diagonal one assembled from
+    them; every function of the weight is mapped from these.
     """
 
     diag_plus: np.ndarray
@@ -69,6 +69,7 @@ class OffDiagonalProblem:
     coupling_norm: float
     weight_plus: SpectralDecomposition
     weight_minus: SpectralDecomposition
+    weight: SpectralDecomposition
 
     @property
     def dim_plus(self) -> int:
@@ -137,6 +138,12 @@ def offdiag_problem(
     if not np.isfinite(coup).all():
         raise MatrixValidationError("coupling contains NaN or Inf entries")
     norm = float(np.linalg.norm(coup, 2)) if coup.size else 0.0
+    p = weight_plus.n
+    vals = np.concatenate([weight_plus.eigenvalues, weight_minus.eigenvalues])
+    vecs = np.zeros((vals.size, vals.size))
+    vecs[:p, :p] = weight_plus.eigenvectors
+    vecs[p:, p:] = weight_minus.eigenvectors
+    order = np.argsort(vals, kind="stable")
     return OffDiagonalProblem(
         diag_plus=sym_plus,
         diag_minus=sym_minus,
@@ -144,6 +151,11 @@ def offdiag_problem(
         coupling_norm=norm,
         weight_plus=weight_plus,
         weight_minus=weight_minus,
+        weight=SpectralDecomposition(
+            eigenvalues=vals[order],
+            eigenvectors=vecs[:, order],
+            source_norm=max(weight_plus.source_norm, weight_minus.source_norm),
+        ),
     )
 
 
@@ -178,24 +190,8 @@ def check_offdiagonal(
     return residual <= tol * max(norm, np.finfo(np.float64).tiny), residual
 
 
-def _block_weight(problem: OffDiagonalProblem) -> SpectralDecomposition:
-    """Decomposition of the block-diagonal weight, assembled from the blocks'."""
-    plus, minus = problem.weight_plus, problem.weight_minus
-    p = problem.dim_plus
-    vals = np.concatenate([plus.eigenvalues, minus.eigenvalues])
-    vecs = np.zeros((problem.dim, problem.dim))
-    vecs[:p, :p] = plus.eigenvectors
-    vecs[p:, p:] = minus.eigenvectors
-    order = np.argsort(vals, kind="stable")
-    return SpectralDecomposition(
-        eigenvalues=vals[order],
-        eigenvectors=vecs[:, order],
-        source_norm=max(plus.source_norm, minus.source_norm),
-    )
-
-
 def _form_scale(problem: OffDiagonalProblem) -> float:
-    return (1.0 + _block_weight(problem).source_norm) * (1.0 + problem.coupling_norm)
+    return (1.0 + problem.weight.source_norm) * (1.0 + problem.coupling_norm)
 
 
 def form_evaluator(problem: OffDiagonalProblem):
@@ -206,9 +202,8 @@ def form_evaluator(problem: OffDiagonalProblem):
     probe vectors it returns the form value; given probes stacked as the
     columns of two matrices it returns the value of each column pair.
     """
-    weight = _block_weight(problem)
-    root = apply_fn(weight, np.sqrt)
-    shifted_root = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
+    root = apply_fn(problem.weight, np.sqrt)
+    shifted_root = apply_fn(problem.weight, lambda lam: np.sqrt(1.0 + lam))
     j_mat = problem.splitting().matrix
     s_mat = problem.full_coupling()
 
@@ -227,7 +222,7 @@ def shifted_block_coefficient(problem: OffDiagonalProblem) -> np.ndarray:
 
 def _assembled(problem: OffDiagonalProblem) -> tuple[np.ndarray, np.ndarray]:
     """``(B + J, B)`` with ``B + J = (A+I)^(1/2) [[I, T], [T*, -I]] (A+I)^(1/2)``."""
-    shifted_root = apply_fn(_block_weight(problem), lambda lam: np.sqrt(1.0 + lam))
+    shifted_root = apply_fn(problem.weight, lambda lam: np.sqrt(1.0 + lam))
     shifted_operator = symmetrize(
         shifted_root @ shifted_block_coefficient(problem) @ shifted_root,
         "shifted operator",
@@ -248,12 +243,13 @@ def assemble_offdiag(
     """
     shifted_coeff = shifted_block_coefficient(problem)
     shifted_operator, operator = _assembled(problem)
+    decomp = eig_sym(operator)
     first, second = _probe_residuals(
         default_probes(problem.dim, seed=probe_seed),
         _form_scale(problem),
         form_evaluator(problem),
         lambda xs, ys: _pairing(xs, operator @ ys),
-        _represented_side(eig_sym(operator)),
+        _represented_side(decomp),
     )
     return RepresentationResult(
         operator=operator,
@@ -267,6 +263,8 @@ def assemble_offdiag(
             lambda_min_plus=1.0, lambda_max_minus=-1.0, satisfied=True, alpha_star=1.0
         ),
         certified=True,
+        weight=problem.weight,
+        decomposition=decomp,
     )
 
 
@@ -293,7 +291,7 @@ def _verify_direct(
     problem: OffDiagonalProblem, coefficient: np.ndarray, operator: np.ndarray
 ) -> None:
     """Check ``B = (A+I)^(1/2) C (A+I)^(1/2)`` for the direct coefficient ``C``."""
-    shifted_root = apply_fn(_block_weight(problem), lambda lam: np.sqrt(1.0 + lam))
+    shifted_root = apply_fn(problem.weight, lambda lam: np.sqrt(1.0 + lam))
     rebuilt = shifted_root @ coefficient @ shifted_root
     defect = float(np.linalg.norm(rebuilt - operator, 2))
     tol = 1e-10 * _form_scale(problem)
@@ -376,7 +374,7 @@ def _definitional_cross_check(
     mapping step between the coupling kernels and the annihilators.
     """
     tol = 1e-8 * (1.0 + problem.coupling_norm) * np.sqrt(
-        1.0 + _block_weight(problem).source_norm
+        1.0 + problem.weight.source_norm
     )
     halves = (
         ("plus", problem.weight_plus, problem.coupling.conj().T, annihilator_plus),

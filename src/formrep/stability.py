@@ -258,16 +258,12 @@ def sufficient_semibounded(
 
     c = op_norm(sym_b) + 1.0
     for _ in range(max_doublings):
-        candidate = sym_coeff + c * resolvent_at_one
-        lam_min = float(np.linalg.eigvalsh(candidate)[0])
-        tau_pos = kernel_tol(n, float(np.linalg.norm(candidate, 2)))
-        spectrum_clear = False
-        if invertible:
-            inverse_spectrum = 1.0 / shifted_vals
-            spectrum_clear = bool(
-                np.min(np.abs(inverse_spectrum - (-1.0 / c))) > tau_inverse
-            )
-        if lam_min > tau_pos and spectrum_clear:
+        candidate_vals = np.linalg.eigvalsh(sym_coeff + c * resolvent_at_one)
+        tau_pos = kernel_tol(n, float(np.max(np.abs(candidate_vals))))
+        spectrum_clear = invertible and bool(
+            np.min(np.abs(1.0 / shifted_vals - (-1.0 / c))) > tau_inverse
+        )
+        if candidate_vals[0] > tau_pos and spectrum_clear:
             return True, float(c)
         c *= 2.0
     return False, float(c / 2.0)
@@ -366,15 +362,16 @@ def family_diagnostics(
         weight = _clamped_weight(sym_a)
         root = apply_fn(weight, np.sqrt)
         operator = symmetrize(root @ sym_h @ root, "family operator")
-        report = _stability(weight, operator, eig_sym(operator), s)
+        decomp = eig_sym(operator)
+        report = _stability(weight, operator, decomp, s)
 
-        weight_vals = np.abs(np.linalg.eigvalsh(sym_a))
-        cond = float(weight_vals.max() / weight_vals.min()) if weight_vals.min() > 0 else float("inf")
+        lowest = float(weight.eigenvalues[0])
+        cond = weight.source_norm / lowest if lowest > 0 else float("inf")
         grow = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
         shrink = apply_fn(weight, lambda lam: 1.0 / np.sqrt(1.0 + lam))
         conj_norm = float(np.linalg.norm(grow @ sym_h @ shrink, 2))
 
-        sequences["operator"].append(float(np.linalg.norm(operator, 2)))
+        sequences["operator"].append(decomp.source_norm)
         sequences["weight_condition"].append(cond)
         sequences["weighted_abs"].append(report.norm_weighted_abs)
         sequences["weighted_abs_inverse"].append(report.norm_weighted_abs_inverse)

@@ -13,20 +13,28 @@ import numpy as np
 import pytest
 
 import formrep.harness as harness
-from formrep import gen_random, run
+from formrep import (
+    assemble_offdiag,
+    associate_general,
+    gen_random,
+    make_involution,
+    offdiag_problem,
+    run,
+)
 
 #: (spec arguments, expected counts).  ``assemble_offdiag`` runs once per
-#: offdiag run; the two block weights, ``T T*``, ``T* T``, the operator (in
-#: assembly and once for the kernel oracle and the stability suite) and the
-#: two kernel intersections account for its eight ``eigh`` calls.
+#: offdiag run; the two block weights, ``T T*``, ``T* T``, the operator
+#: (decomposed once in assembly; the kernel oracle and the stability suite
+#: read that decomposition from the result) and the two kernel intersections
+#: account for its seven ``eigh`` calls.
 CASES = {
     "general": (
         ("general", 16, 3),
-        {"eigh": 3, "eigvalsh": 6, "svd": 19, "assemble_offdiag": 0},
+        {"eigh": 3, "eigvalsh": 6, "svd": 17, "assemble_offdiag": 0},
     ),
     "offdiag": (
         ("offdiag", (6, 5), 1, 0.5, (2, 1)),
-        {"eigh": 8, "eigvalsh": 2, "svd": 40, "assemble_offdiag": 1},
+        {"eigh": 7, "eigvalsh": 2, "svd": 20, "assemble_offdiag": 1},
     ),
 }
 
@@ -61,3 +69,19 @@ def test_factorization_counts(case, counts):
     report = run(spec)
     assert report.passed
     assert {name: counts[name] for name in expected} == expected
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_results_carry_their_decompositions(case):
+    matrices = gen_random(*CASES[case][0]).matrices
+    if case == "general":
+        inv = make_involution(matrices["J"])
+        result = associate_general(matrices["A"], matrices["H"], inv)
+        weight = matrices["A"]
+    else:
+        problem = offdiag_problem(matrices["A_plus"], matrices["A_minus"], matrices["T"])
+        result = assemble_offdiag(problem)
+        weight = problem.full_weight()
+    for decomp, mat in ((result.decomposition, result.operator), (result.weight, weight)):
+        scale = 1e-12 * mat.shape[0] * np.linalg.norm(mat, 2)
+        assert np.linalg.norm(decomp.reconstruct() - mat, 2) <= scale

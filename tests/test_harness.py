@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,24 @@ class TestCli:
         assert main(["verify", path, *flags]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("entry", ["1e200", "1e308", "-1e308"])
+    def test_huge_entry_exit_two_one_line(self, tmp_path, capsys, entry):
+        payload = json.loads(json.dumps(MINIMAL_GENERAL))
+        payload["matrices"]["A"] = [[entry, entry], ["1e308", entry]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", write_json(tmp_path, payload)]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err == "error: matrix A has an entry of magnitude above 1e+150\n"
+
+    def test_entry_at_the_magnitude_cap_loads(self, tmp_path):
+        payload = json.loads(json.dumps(MINIMAL_GENERAL))
+        payload["matrices"]["A"] = [["1e150", "0"], ["0", "1e150"]]
+        path = write_json(tmp_path, payload)
+        assert load_spec(path).matrices["A"][0, 0] == 1e150
+        assert main(["verify", path]) == 0
 
     def test_spec_echo_digests_the_matrices(self, tmp_path):
         spec = gen_random("offdiag", (3, 2), seed=4)

@@ -280,6 +280,16 @@ class TestSubspaceUtilities:
             SubspaceBasis(e[:, :1]), SubspaceBasis(rotated)
         ) == pytest.approx(theta, abs=1e-12)
 
+    def test_gram_defect_bound_defers_to_the_spectral_norm(self):
+        # Gram matrix (1 + delta) I on 16 columns: 2-norm delta, Frobenius 4 delta.
+        bound = 1e-12 * 64
+        frame = np.linalg.qr(np.random.default_rng(5).standard_normal((64, 16)))[0]
+        accepted = SubspaceBasis(frame * np.sqrt(1.0 + 0.5 * bound))
+        assert accepted.dim == 16
+        message = f"basis columns are not orthonormal: defect {2 * bound:.3e}"
+        with pytest.raises(MatrixValidationError, match=re.escape(message)):
+            SubspaceBasis(frame * np.sqrt(1.0 + 2 * bound))
+
 
 class TestSymmetrize:
     def test_accepts_near_symmetric(self):
