@@ -38,6 +38,10 @@ class CommutationError(FormrepError):
 class HypothesisRefusedError(FormrepError):
     """The spectral-gap condition failed and ``force`` was not requested."""
 
+    def __init__(self, message: str, certificate=None):
+        super().__init__(message)
+        self.certificate = certificate  # the refused GapCertificate
+
 
 class ResolventPointError(FormrepError):
     """Requested resolvent point sits within tolerance of a spectrum."""

@@ -33,6 +33,7 @@ from .errors import (
 from .involution import Involution, block_decompose, commutes
 from .spectral import (
     SpectralDecomposition,
+    _norm2_above,
     _signum,
     apply_fn,
     eig_sym,
@@ -353,7 +354,7 @@ def associate_general(
     certificate, sym_a, sym_h, weight, h_vals = _certify(mat_a, mat_h, inv)
     if not certificate.satisfied and not force:
         raise HypothesisRefusedError(
-            f"spectral-gap condition refused: {certificate.refusal}"
+            f"spectral-gap condition refused: {certificate.refusal}", certificate
         )
     root = apply_fn(weight, np.sqrt)
     shifted_root = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
@@ -361,8 +362,8 @@ def associate_general(
     compressed, shifted = _shifted_pair(weight, sym_h, inv)
     via_shifted = shifted_root @ shifted @ shifted_root
     scale = (1.0 + weight.source_norm) * max(float(np.max(np.abs(h_vals))), 1e-300)
-    route_gap = float(np.linalg.norm(via_shifted - inv.matrix - operator, 2))
-    if route_gap > 1e-10 * scale:
+    route_gap = _norm2_above(via_shifted - inv.matrix - operator, 1e-10 * scale)
+    if route_gap is not None:
         raise InternalCheckError(
             f"assembly routes disagree: ||(B~ - J) - B|| = {route_gap:.3e} "
             f"exceeds {1e-10 * scale:.3e}"

@@ -25,7 +25,7 @@ from .errors import (
     InternalCheckError,
     SpecFormatError,
 )
-from .general import associate_general, check_gap_hypothesis, gap_certificate_check
+from .general import associate_general, gap_certificate_check
 from .involution import make_involution
 from .offdiag import _kernel_report, _verify_direct, assemble_offdiag, offdiag_problem
 from .spectral import random_orthogonal
@@ -442,12 +442,11 @@ def _run_general(spec: ProblemSpec) -> Report:
             spec.matrices["A"], spec.matrices["H"], inv, spec.force, spec.seed
         )
     except HypothesisRefusedError as exc:
-        cert = check_gap_hypothesis(spec.matrices["A"], spec.matrices["H"], inv)
         return Report(
             kind="general",
             spec_echo=_spec_dict(spec, _matrix_digest),
             checks={"hypothesis_certified": False},
-            certificate=asdict(cert),
+            certificate=asdict(exc.certificate),
             representation={"refusal": str(exc)},
         )
     cert = result.certificate

@@ -20,7 +20,7 @@ from .errors import (
     MatrixValidationError,
     TrivialInvolutionError,
 )
-from .spectral import SubspaceBasis, eig_sym, op_norm, symmetrize
+from .spectral import SubspaceBasis, _norm2_above, eig_sym, op_norm, symmetrize
 
 #: Guard for the 2^n diagonal enumeration.
 MAX_ENUMERATION_DIM = 24
@@ -96,8 +96,8 @@ def make_involution(mat: np.ndarray) -> Involution:
     sym = symmetrize(mat, "involution candidate")
     n = sym.shape[0]
     eye = np.eye(n, dtype=sym.dtype)
-    square_defect = float(np.linalg.norm(sym @ sym - eye, 2))
-    if square_defect > 1e-12 * n:
+    square_defect = _norm2_above(sym @ sym - eye, 1e-12 * n)
+    if square_defect is not None:
         raise InvolutionError(
             f"not an involution: ||J^2 - I|| = {square_defect:.3e} exceeds {1e-12 * n:.1e}"
         )

@@ -38,6 +38,8 @@ from .spectral import (
     SpectralDecomposition,
     SubspaceBasis,
     _kernel_of,
+    _norm2_above,
+    _sym_norm,
     apply_fn,
     eig_sym,
     min_abs_eig,
@@ -61,6 +63,7 @@ class OffDiagonalProblem:
     ``weight_plus`` / ``weight_minus`` are the clamped block decompositions
     made while validating, ``weight`` the block-diagonal one assembled from
     them; every function of the weight is mapped from these.
+    ``shifted_root`` is ``(A+I)^(1/2)``, mapped once from ``weight``.
     """
 
     diag_plus: np.ndarray
@@ -70,6 +73,7 @@ class OffDiagonalProblem:
     weight_plus: SpectralDecomposition
     weight_minus: SpectralDecomposition
     weight: SpectralDecomposition
+    shifted_root: np.ndarray
 
     @property
     def dim_plus(self) -> int:
@@ -144,6 +148,8 @@ def offdiag_problem(
     vecs[:p, :p] = weight_plus.eigenvectors
     vecs[p:, p:] = weight_minus.eigenvectors
     order = np.argsort(vals, kind="stable")
+    source_norm = max(weight_plus.source_norm, weight_minus.source_norm)
+    weight = SpectralDecomposition(vals[order], vecs[:, order], source_norm)
     return OffDiagonalProblem(
         diag_plus=sym_plus,
         diag_minus=sym_minus,
@@ -151,11 +157,8 @@ def offdiag_problem(
         coupling_norm=norm,
         weight_plus=weight_plus,
         weight_minus=weight_minus,
-        weight=SpectralDecomposition(
-            eigenvalues=vals[order],
-            eigenvectors=vecs[:, order],
-            source_norm=max(weight_plus.source_norm, weight_minus.source_norm),
-        ),
+        weight=weight,
+        shifted_root=apply_fn(weight, lambda lam: np.sqrt(1.0 + lam)),
     )
 
 
@@ -176,11 +179,8 @@ def check_offdiagonal(
         )
     proj_p = inv.projector_plus
     proj_m = inv.projector_minus
-    residual = max(
-        float(np.linalg.norm(proj_p @ sym @ proj_p, 2)),
-        float(np.linalg.norm(proj_m @ sym @ proj_m, 2)),
-    )
-    anti = float(np.linalg.norm(inv.matrix @ sym + sym @ inv.matrix, 2))
+    residual = max(_sym_norm(proj_p @ sym @ proj_p), _sym_norm(proj_m @ sym @ proj_m))
+    anti = _sym_norm(inv.matrix @ sym + sym @ inv.matrix)
     norm = op_norm(sym)
     if abs(anti - 2.0 * residual) > 1e-8 * max(norm, 1.0):
         raise InternalCheckError(
@@ -203,7 +203,7 @@ def form_evaluator(problem: OffDiagonalProblem):
     columns of two matrices it returns the value of each column pair.
     """
     root = apply_fn(problem.weight, np.sqrt)
-    shifted_root = apply_fn(problem.weight, lambda lam: np.sqrt(1.0 + lam))
+    shifted_root = problem.shifted_root
     j_mat = problem.splitting().matrix
     s_mat = problem.full_coupling()
 
@@ -222,10 +222,9 @@ def shifted_block_coefficient(problem: OffDiagonalProblem) -> np.ndarray:
 
 def _assembled(problem: OffDiagonalProblem) -> tuple[np.ndarray, np.ndarray]:
     """``(B + J, B)`` with ``B + J = (A+I)^(1/2) [[I, T], [T*, -I]] (A+I)^(1/2)``."""
-    shifted_root = apply_fn(problem.weight, lambda lam: np.sqrt(1.0 + lam))
+    root = problem.shifted_root
     shifted_operator = symmetrize(
-        shifted_root @ shifted_block_coefficient(problem) @ shifted_root,
-        "shifted operator",
+        root @ shifted_block_coefficient(problem) @ root, "shifted operator"
     )
     operator = symmetrize(shifted_operator - problem.splitting().matrix, "associated matrix")
     return shifted_operator, operator
@@ -291,11 +290,10 @@ def _verify_direct(
     problem: OffDiagonalProblem, coefficient: np.ndarray, operator: np.ndarray
 ) -> None:
     """Check ``B = (A+I)^(1/2) C (A+I)^(1/2)`` for the direct coefficient ``C``."""
-    shifted_root = apply_fn(problem.weight, lambda lam: np.sqrt(1.0 + lam))
-    rebuilt = shifted_root @ coefficient @ shifted_root
-    defect = float(np.linalg.norm(rebuilt - operator, 2))
+    rebuilt = problem.shifted_root @ coefficient @ problem.shifted_root
     tol = 1e-10 * _form_scale(problem)
-    if defect > tol:
+    defect = _norm2_above(rebuilt - operator, tol)
+    if defect is not None:
         raise InternalCheckError(
             f"direct-coefficient identity breached: {defect:.3e} > {tol:.3e}"
         )
@@ -376,13 +374,14 @@ def _definitional_cross_check(
     tol = 1e-8 * (1.0 + problem.coupling_norm) * np.sqrt(
         1.0 + problem.weight.source_norm
     )
+    p = problem.dim_plus
+    # (A+I)^(1/2) is block diagonal, with blocks (A_pm + I)^(1/2).
     halves = (
-        ("plus", problem.weight_plus, problem.coupling.conj().T, annihilator_plus),
-        ("minus", problem.weight_minus, problem.coupling, annihilator_minus),
+        ("plus", problem.shifted_root[:p, :p], problem.coupling.conj().T, annihilator_plus),
+        ("minus", problem.shifted_root[p:, p:], problem.coupling, annihilator_minus),
     )
-    for label, weight, adjoint, annihilator in halves:
+    for label, grown, adjoint, annihilator in halves:
         if annihilator.dim:
-            grown = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
             defect = float(np.linalg.norm(adjoint @ grown @ annihilator.vectors, 2))
             if defect > tol:
                 raise InternalCheckError(

@@ -81,6 +81,22 @@ def symmetrize(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     return (arr + herm) / 2.0
 
 
+def _norm2_above(mat: np.ndarray, bound: float) -> float | None:
+    """``||mat||_2`` if it exceeds ``bound``, else None.  ``||D||_2 <= ||D||_F``,
+    so the Frobenius norm accepts most matrices without an SVD."""
+    if np.linalg.norm(mat) <= bound:
+        return None
+    norm = float(np.linalg.norm(mat, 2))
+    return norm if norm > bound else None
+
+
+def _sym_norm(mat: np.ndarray) -> float:
+    """``max |eig|`` of a product that is symmetric by construction.  ``eigvalsh``
+    reads one triangle: unlike ``op_norm``, nothing validates or removes the
+    product's rounding-level asymmetry, which never costs an SVD or raises."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigendecomposition ``M = V diag(w) V*`` of a self-adjoint matrix.
@@ -121,14 +137,11 @@ class SubspaceBasis:
             )
         if vecs.shape[1]:
             gram_defect = vecs.conj().T @ vecs - np.eye(vecs.shape[1])
-            bound = 1e-12 * max(vecs.shape[0], 1)
-            # ||D||_2 <= ||D||_F, so the Frobenius norm accepts most bases without an SVD.
-            if np.linalg.norm(gram_defect) > bound:
-                defect = float(np.linalg.norm(gram_defect, 2))
-                if defect > bound:
-                    raise MatrixValidationError(
-                        f"basis columns are not orthonormal: defect {defect:.3e}"
-                    )
+            defect = _norm2_above(gram_defect, 1e-12 * max(vecs.shape[0], 1))
+            if defect is not None:
+                raise MatrixValidationError(
+                    f"basis columns are not orthonormal: defect {defect:.3e}"
+                )
 
     @property
     def dim(self) -> int:

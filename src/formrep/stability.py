@@ -25,7 +25,9 @@ from .general import _clamped_weight, check_gap_hypothesis
 from .involution import Involution, enumerate_diagonal_involutions
 from .spectral import (
     SpectralDecomposition,
+    _norm2_above,
     _signum,
+    _sym_norm,
     apply_fn,
     eig_sym,
     kernel_tol,
@@ -120,7 +122,9 @@ def _stability(
     weight: SpectralDecomposition, sym_b: np.ndarray, decomp: SpectralDecomposition, s: int
 ) -> StabilityReport:
     """``stability_suite`` on the clamped decomposition of the weight and the
-    decomposition ``decomp`` of the operator ``sym_b``."""
+    decomposition ``decomp`` of the operator ``sym_b``.  Norms of symmetric
+    products come from ``eigvalsh``, flag-only norms from the Frobenius norm
+    first, and the sign conjugate's norm and residuals from SVDs."""
     eye = np.eye(sym_b.shape[0])
     grow = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
     shrink = apply_fn(weight, lambda lam: 1.0 / np.sqrt(1.0 + lam))
@@ -141,40 +145,34 @@ def _stability(
     shifted_inverse_pair = grow @ inv_shifted @ grow
     shifted_forward_pair = shrink @ (sym_b + sign_mat) @ shrink
 
-    def norm(mat: np.ndarray) -> float:
-        return float(np.linalg.norm(mat, 2))
+    def within(mat: np.ndarray, scale: float) -> bool:
+        return _norm2_above(mat, FLAG_TOL * max(1.0, scale)) is None
 
-    def inverse_defect(first: np.ndarray, second: np.ndarray) -> float:
-        return max(norm(first @ second - eye), norm(second @ first - eye))
+    norm_x = _sym_norm(weighted_abs)
+    norm_y = _sym_norm(weighted_abs_inverse)
+    norm_k = float(np.linalg.norm(sign_conjugate, 2))
+    norm_xt = _sym_norm(shifted_inverse_pair)
 
-    norm_x = norm(weighted_abs)
-    norm_y = norm(weighted_abs_inverse)
-    norm_k = norm(sign_conjugate)
-    norm_xt = norm(shifted_inverse_pair)
-
-    involution_residual = norm(sign_conjugate @ sign_conjugate - eye)
-    inverse_pair_residual = inverse_defect(shifted_inverse_pair, shifted_forward_pair)
-    xy_residual = inverse_defect(weighted_abs, weighted_abs_inverse)
-    chain_residual = norm(sign_conjugate - shifted_inverse_pair @ weighted_abs)
-
+    involution_residual = float(np.linalg.norm(sign_conjugate @ sign_conjugate - eye, 2))
+    # Both factors of each inverse pair are symmetric: S F - I = (F S - I)^T.
+    pair_defect = shifted_inverse_pair @ shifted_forward_pair - eye
+    inverse_pair_residual = float(np.linalg.norm(pair_defect, 2))
+    # sign_gap, B and |B| are functions of one decomposition: both products are symmetric.
     sign_gap = sign_mat - apply_fn(decomp, _signum(decomp, 0.0))
     sgn_invariance_residual = max(
-        norm(sign_gap @ sym_b), norm(sign_gap @ apply_fn(decomp, abs))
+        _sym_norm(sign_gap @ sym_b), _sym_norm(sign_gap @ apply_fn(decomp, abs))
     )
 
-    sym_defect_x = norm(weighted_abs - weighted_abs.conj().T)
-    sym_defect_y = norm(weighted_abs_inverse - weighted_abs_inverse.conj().T)
-
     flag_x = bool(
-        np.isfinite(weighted_abs).all() and sym_defect_x <= FLAG_TOL * max(1.0, norm_x)
+        np.isfinite(weighted_abs).all() and within(weighted_abs - weighted_abs.conj().T, norm_x)
     )
     flag_y = bool(
         np.isfinite(weighted_abs_inverse).all()
-        and sym_defect_y <= FLAG_TOL * max(1.0, norm_y)
+        and within(weighted_abs_inverse - weighted_abs_inverse.conj().T, norm_y)
     )
     conditions = {
         "i": bool(
-            xy_residual <= FLAG_TOL * max(1.0, norm_x * norm_y)
+            within(weighted_abs @ weighted_abs_inverse - eye, norm_x * norm_y)
             and inverse_pair_residual <= FLAG_TOL * max(1.0, norm_xt * norm_y)
         ),
         "ii": flag_x,
@@ -184,7 +182,7 @@ def _stability(
         "iv": bool(involution_residual <= FLAG_TOL * max(1.0, norm_k**2)),
         "v": bool(
             np.isfinite(sign_conjugate).all()
-            and chain_residual <= FLAG_TOL * max(1.0, norm_xt * norm_x)
+            and within(sign_conjugate - shifted_inverse_pair @ weighted_abs, norm_xt * norm_x)
         ),
     }
     return StabilityReport(
@@ -215,15 +213,15 @@ def sufficient_definite(
     tau = kernel_tol(sym_h.shape[0], float(np.max(np.abs(vals), initial=0.0)))
     n = sym_b.shape[0]
     if vals[0] > tau:
-        defect = float(np.linalg.norm(sgn_matrix(sym_b, 1) - np.eye(n), 2))
-        if defect > 1e-10:
+        defect = _norm2_above(sgn_matrix(sym_b, 1) - np.eye(n), 1e-10)
+        if defect is not None:
             raise InternalCheckError(
                 f"positive coefficient but sign is not the identity: defect {defect:.3e}"
             )
         return True
     if vals[-1] < -tau:
-        defect = float(np.linalg.norm(sgn_matrix(sym_b, -1) + np.eye(n), 2))
-        if defect > 1e-10:
+        defect = _norm2_above(sgn_matrix(sym_b, -1) + np.eye(n), 1e-10)
+        if defect is not None:
             raise InternalCheckError(
                 f"negative coefficient but sign is not minus identity: defect {defect:.3e}"
             )

@@ -2,20 +2,26 @@
 
 Counts the dense factorizations numpy performs during one ``harness.run``.
 ``numpy.linalg.norm(M, 2)`` takes its SVD through the ``svd`` of the module
-that defines it, so that module's binding is counted too.  A helper that
-decomposes a matrix the run has already decomposed raises a count here.
+that defines it, so that module's binding is counted too.  ``apply_fn`` is
+counted wherever a formrep module binds it.  A helper that decomposes a
+matrix the run has already decomposed, or takes an SVD where a symmetric
+eigensolve or a Frobenius norm decides, raises a count here.
 """
 
 import collections
 import importlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import formrep.harness as harness
+import formrep.spectral as spectral
 from formrep import (
     assemble_offdiag,
     associate_general,
+    check_gap_hypothesis,
+    gen_counterexample,
     gen_random,
     make_involution,
     offdiag_problem,
@@ -26,15 +32,19 @@ from formrep import (
 #: offdiag run; the two block weights, ``T T*``, ``T* T``, the operator
 #: (decomposed once in assembly; the kernel oracle and the stability suite
 #: read that decomposition from the result) and the two kernel intersections
-#: account for its seven ``eigh`` calls.
+#: account for its seven ``eigh`` calls.  The SVDs left are the reported norms
+#: of non-symmetric matrices: ``[J, A]`` and the sign conjugate's norm and two
+#: residuals on both paths, plus the coupling norm and two principal angles
+#: and two annihilator pairings on the offdiag path.  ``(A+I)^(1/2)`` is mapped
+#: once per offdiag problem.
 CASES = {
     "general": (
         ("general", 16, 3),
-        {"eigh": 3, "eigvalsh": 6, "svd": 17, "assemble_offdiag": 0},
+        {"eigh": 3, "eigvalsh": 11, "svd": 4, "apply_fn": 14, "assemble_offdiag": 0},
     ),
     "offdiag": (
         ("offdiag", (6, 5), 1, 0.5, (2, 1)),
-        {"eigh": 7, "eigvalsh": 2, "svd": 20, "assemble_offdiag": 1},
+        {"eigh": 7, "eigvalsh": 7, "svd": 8, "apply_fn": 16, "assemble_offdiag": 1},
     ),
 }
 
@@ -55,6 +65,9 @@ def counts(monkeypatch):
     counted_svd = counted("svd", np.linalg.svd)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(importlib.import_module("numpy.linalg._linalg"), "svd", counted_svd)
+    counted_apply = counted("apply_fn", spectral.apply_fn)
+    for module in ("spectral", "general", "offdiag", "stability"):
+        monkeypatch.setattr(f"formrep.{module}.apply_fn", counted_apply)
     monkeypatch.setattr(
         harness, "assemble_offdiag", counted("assemble_offdiag", harness.assemble_offdiag)
     )
@@ -69,6 +82,21 @@ def test_factorization_counts(case, counts):
     report = run(spec)
     assert report.passed
     assert {name: counts[name] for name in expected} == expected
+
+
+def test_refused_run_certifies_once(counts):
+    # The refusal carries its certificate: J and A are decomposed once, H and its blocks once.
+    spec = gen_counterexample(3)
+    spec.force = False
+    matrices = spec.matrices
+    cert = check_gap_hypothesis(matrices["A"], matrices["H"], make_involution(matrices["J"]))
+    counts.clear()
+    report = run(spec)
+    assert {name: counts[name] for name in ("eigh", "eigvalsh")} == {"eigh": 2, "eigvalsh": 3}
+    assert report.checks == {"hypothesis_certified": False}
+    assert report.certificate == asdict(cert)
+    assert report.representation == {"refusal": f"spectral-gap condition refused: {cert.refusal}"}
+    assert report.exit_code == 1
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,11 +1,13 @@
 """Spectral-core tests: decomposition, matrix functions, nullspaces, norms."""
 
+import importlib
 import re
 
 import numpy as np
 import pytest
 
 from formrep import (
+    InvolutionError,
     MatrixValidationError,
     ResolventPointError,
     SpectralDomainError,
@@ -13,6 +15,7 @@ from formrep import (
     apply_fn,
     eig_sym,
     kernel_tol,
+    make_involution,
     matrix_function,
     min_abs_eig,
     nullspace,
@@ -23,6 +26,7 @@ from formrep import (
     subspace_intersection,
     symmetrize,
 )
+from formrep.spectral import _norm2_above
 
 
 def random_symmetric(n, seed, scale=1.0):
@@ -211,6 +215,45 @@ class TestNorms:
     def test_matches_power_iteration_oracle(self):
         mat = random_symmetric(16, seed=21)
         assert op_norm(mat) == pytest.approx(power_iteration_norm(mat), rel=1e-10)
+
+
+class TestFrobeniusFirstNorm:
+    # delta I on 16 columns: 2-norm delta, Frobenius norm 4 delta.
+    BOUND = 1e-12 * 16
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        linalg = importlib.import_module("numpy.linalg._linalg")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        svd = linalg.svd
+        monkeypatch.setattr(linalg, "svd", counted)
+        return calls
+
+    def test_frobenius_norm_accepts_without_an_svd(self, svd_calls):
+        assert _norm2_above(0.2 * self.BOUND * np.eye(16), self.BOUND) is None
+        assert svd_calls == []
+
+    def test_spectral_norm_accepts_when_the_frobenius_norm_fails(self, svd_calls):
+        mat = 0.5 * self.BOUND * np.eye(16)
+        assert np.linalg.norm(mat) > self.BOUND
+        svd_calls.clear()
+        assert _norm2_above(mat, self.BOUND) is None
+        assert svd_calls == [(16, 16)]
+
+    def test_both_fail_and_the_message_carries_the_spectral_norm(self):
+        root = np.sqrt(1.0 + 2 * self.BOUND)
+        candidate = np.diag([root] * 8 + [-root] * 8)
+        defect = float(np.linalg.norm(candidate @ candidate - np.eye(16), 2))
+        assert defect == pytest.approx(2 * self.BOUND, rel=1e-4)
+        assert _norm2_above(candidate @ candidate - np.eye(16), self.BOUND) == defect
+        message = f"not an involution: ||J^2 - I|| = {defect:.3e} exceeds {self.BOUND:.1e}"
+        with pytest.raises(InvolutionError, match=re.escape(message)):
+            make_involution(candidate)
 
 
 class TestResolventIdentity:
