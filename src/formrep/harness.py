@@ -38,7 +38,8 @@ _REQUIRED_MATRICES = {"general": ("A", "H", "J"), "offdiag": ("A_plus", "A_minus
 _SQUARE_SYMMETRIC = {"A", "H", "J", "A_plus", "A_minus"}
 
 MAX_FAMILY_SIZE = 64
-MAX_RANDOM_DIM = 512
+#: Largest matrix dimension a generator draws or a problem file may hold.
+MAX_RANDOM_DIM = 2048
 
 #: Largest entry magnitude in a problem file: products of two entries stay finite.
 MAX_ENTRY = 1e150
@@ -99,6 +100,10 @@ def _strings_to_matrix(rows: Any, name: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise SpecFormatError(f"matrix {name} must be a non-empty list of rows")
     width = len(rows[0])
+    if max(len(rows), width) > MAX_RANDOM_DIM:
+        raise SpecFormatError(
+            f"matrix {name} is {len(rows)} x {width}, above the dimension cap {MAX_RANDOM_DIM}"
+        )
     if width == 0 or any(len(r) != width for r in rows):
         raise SpecFormatError(f"matrix {name} has ragged or empty rows")
     try:
@@ -419,18 +424,13 @@ def gen_random(
 
 def _check_residuals_finite(report: Report) -> None:
     def walk(node: Any) -> None:
-        if isinstance(node, dict):
-            for value in node.values():
+        if isinstance(node, (dict, list)):
+            for value in node.values() if isinstance(node, dict) else node:
                 walk(value)
-        elif isinstance(node, list):
-            for value in node:
-                walk(value)
-        elif isinstance(node, float):
-            if not np.isfinite(node):
-                raise InternalCheckError("report contains a non-finite number")
+        elif isinstance(node, float) and not np.isfinite(node):
+            raise InternalCheckError("report contains a non-finite number")
 
-    for section in (report.certificate, report.representation, report.kernel, report.stability):
-        walk(section)
+    walk(asdict(report))
 
 
 def _run_general(spec: ProblemSpec) -> Report:
@@ -461,7 +461,7 @@ def _run_general(spec: ProblemSpec) -> Report:
     stab = _stability(result.weight, result.operator, result.decomposition, 1)
     checks["stability_conditions_agree"] = all(stab.conditions.values())
     checks["shifted_unit_gap"] = stab.shifted_gap >= 1.0 - 1e-10 * tol
-    report = Report(
+    return Report(
         kind="general",
         spec_echo=_spec_dict(spec, _matrix_digest),
         checks=checks,
@@ -476,8 +476,6 @@ def _run_general(spec: ProblemSpec) -> Report:
         },
         stability=asdict(stab),
     )
-    _check_residuals_finite(report)
-    return report
 
 
 def _run_offdiag(spec: ProblemSpec) -> Report:
@@ -501,7 +499,7 @@ def _run_offdiag(spec: ProblemSpec) -> Report:
     checks["kernel_principal_angle"] = kernel.principal_angle <= 1e-8 * tol
     stab = _stability(result.weight, result.operator, result.decomposition, 1)
     checks["stability_conditions_agree"] = all(stab.conditions.values())
-    report = Report(
+    return Report(
         kind="offdiag",
         spec_echo=_spec_dict(spec, _matrix_digest),
         checks=checks,
@@ -523,8 +521,6 @@ def _run_offdiag(spec: ProblemSpec) -> Report:
         },
         stability=asdict(stab),
     )
-    _check_residuals_finite(report)
-    return report
 
 
 def _run_family(spec: ProblemSpec) -> Report:
@@ -550,7 +546,7 @@ def _run_family(spec: ProblemSpec) -> Report:
         )
     elif spec.family_name == "constant":
         checks["gap_search_succeeds_every_size"] = all(diagnostics.gap_search_outcomes)
-    report = Report(
+    return Report(
         kind="family",
         spec_echo=_spec_dict(spec, _matrix_digest),
         checks=checks,
@@ -564,7 +560,6 @@ def _run_family(spec: ProblemSpec) -> Report:
             "gap_search_outcomes": [bool(b) for b in diagnostics.gap_search_outcomes],
         },
     )
-    return report
 
 
 def run(spec: ProblemSpec) -> Report:
@@ -574,14 +569,11 @@ def run(spec: ProblemSpec) -> Report:
     mathematically inadmissible inputs raise library errors that callers
     map to exit code 2.
     """
-    start = time.perf_counter()
-    if spec.kind == "general":
-        report = _run_general(spec)
-    elif spec.kind == "offdiag":
-        report = _run_offdiag(spec)
-    elif spec.kind == "family":
-        report = _run_family(spec)
-    else:
+    pipelines = {"general": _run_general, "offdiag": _run_offdiag, "family": _run_family}
+    if spec.kind not in pipelines:
         raise SpecFormatError(f"unknown kind {spec.kind!r}")
+    start = time.perf_counter()
+    report = pipelines[spec.kind](spec)
+    _check_residuals_finite(report)
     report.wall_time_s = time.perf_counter() - start
     return report

@@ -208,25 +208,31 @@ def apply_fn(
     mapped = np.empty(decomp.n, dtype=np.float64)
     for i, lam in enumerate(decomp.eigenvalues):
         try:
-            val = float(fn(float(lam)))
+            mapped[i] = float(fn(float(lam)))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise SpectralDomainError(
                 f"function undefined at eigenvalue {lam!r}: {exc}"
             ) from exc
-        if not np.isfinite(val):
-            raise SpectralDomainError(
-                f"function returned non-finite value {val!r} at eigenvalue {lam!r}"
-            )
-        mapped[i] = val
+    return _spectral_map(decomp, mapped)
+
+
+def _spectral_map(decomp: SpectralDecomposition, values: np.ndarray) -> np.ndarray:
+    """``V diag(values) V*``, symmetrized: ``apply_fn`` for values mapped already."""
+    if not np.isfinite(values).all():
+        i = int(np.argmin(np.isfinite(values)))
+        val, lam = float(values[i]), float(decomp.eigenvalues[i])
+        raise SpectralDomainError(
+            f"function returned non-finite value {val!r} at eigenvalue {lam!r}"
+        )
     vecs = decomp.eigenvectors
-    out = (vecs * mapped) @ vecs.conj().T
+    out = (vecs * values) @ vecs.conj().T
     return (out + out.conj().T) / 2.0
 
 
-def _signum(decomp: SpectralDecomposition, zero: float) -> Callable[[float], float]:
-    """Sign of an eigenvalue of ``decomp``, ``zero`` within the kernel threshold."""
+def _signum(decomp: SpectralDecomposition, zero: float) -> Callable:
+    """Sign of eigenvalues of ``decomp``, one or an array; ``zero`` inside ``kernel_tol``."""
     tau = kernel_tol(decomp.n, decomp.source_norm)
-    return lambda lam: zero if abs(lam) <= tau else (1.0 if lam > 0 else -1.0)
+    return lambda lam: np.where(np.abs(lam) <= tau, zero, np.sign(lam))
 
 
 def matrix_function(mat: np.ndarray, fn: Callable[[float], float]) -> np.ndarray:

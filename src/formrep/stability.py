@@ -27,6 +27,7 @@ from .spectral import (
     SpectralDecomposition,
     _norm2_above,
     _signum,
+    _spectral_map,
     _sym_norm,
     apply_fn,
     eig_sym,
@@ -92,7 +93,7 @@ def sgn_matrix(mat: np.ndarray, zero_sign: int = 1) -> np.ndarray:
     """
     s = _validate_zero_sign(zero_sign)
     decomp = eig_sym(mat)
-    return apply_fn(decomp, _signum(decomp, float(s)))
+    return _spectral_map(decomp, _signum(decomp, float(s))(decomp.eigenvalues))
 
 
 def stability_suite(
@@ -118,58 +119,65 @@ def stability_suite(
     return _stability(_clamped_weight(sym_a), sym_b, eig_sym(sym_b), s)
 
 
+def _gram_norm(mat: np.ndarray) -> float:
+    """``||mat||_2`` from the Gram matrix of ``mat`` over its largest entry: the
+    division keeps a rounding-level residual from underflowing when squared."""
+    scale = float(np.max(np.abs(mat), initial=0.0))
+    if scale == 0.0:
+        return 0.0
+    unit = mat / scale
+    return scale * float(np.sqrt(max(np.linalg.eigvalsh(unit.conj().T @ unit)[-1], 0.0)))
+
+
 def _stability(
     weight: SpectralDecomposition, sym_b: np.ndarray, decomp: SpectralDecomposition, s: int
 ) -> StabilityReport:
     """``stability_suite`` on the clamped decomposition of the weight and the
-    decomposition ``decomp`` of the operator ``sym_b``.  Norms of symmetric
-    products come from ``eigvalsh``, flag-only norms from the Frobenius norm
-    first, and the sign conjugate's norm and residuals from SVDs."""
+    decomposition ``decomp`` of the operator ``sym_b``, in the weight's eigenbasis
+    ``W`` (every norm reported is unitarily invariant): ``(A+I)^(1/2)`` and its
+    inverse are diagonal there, and ``f(B)`` is ``Q diag(f(lam)) Q*``, ``Q = W* V``.
+    Norms come from ``eigvalsh`` of symmetric or Gram matrices, or from ``lam``;
+    no SVD is taken.  The unit gap and the forward pair use ``sym_b`` itself."""
     eye = np.eye(sym_b.shape[0])
-    grow = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
-    shrink = apply_fn(weight, lambda lam: 1.0 / np.sqrt(1.0 + lam))
-    signed = _signum(decomp, float(s))
-    sign_mat = apply_fn(decomp, signed)
-    shifted_gap = min_abs_eig(sym_b + sign_mat)
+    lam = decomp.eigenvalues
+    signs = _signum(decomp, float(s))(lam)
+    shifted = sym_b + _spectral_map(decomp, signs)
+    shifted_gap = min_abs_eig(shifted)
     if shifted_gap < 1.0 - 1e-10:
         raise InternalCheckError(
             f"shifted matrix lost its unit gap: min |eig(B + sgn B)| = {shifted_gap!r}"
         )
-    abs_shifted = apply_fn(decomp, lambda lam: abs(lam + signed(lam)))
-    inv_shifted = apply_fn(decomp, lambda lam: 1.0 / (lam + signed(lam)))
-    inv_abs_shifted = apply_fn(decomp, lambda lam: 1.0 / abs(lam + signed(lam)))
+    to_frame = weight.eigenvectors.conj().T  # W*
+    rotated = SpectralDecomposition(lam, to_frame @ decomp.eigenvectors, decomp.source_norm)
+    grow = np.sqrt(1.0 + weight.eigenvalues)[:, None]  # g as a column
+    shrink = 1.0 / grow
 
-    weighted_abs = shrink @ abs_shifted @ shrink
-    weighted_abs_inverse = grow @ inv_abs_shifted @ grow
-    sign_conjugate = grow @ sign_mat @ shrink
-    shifted_inverse_pair = grow @ inv_shifted @ grow
-    shifted_forward_pair = shrink @ (sym_b + sign_mat) @ shrink
+    weighted_abs = shrink * _spectral_map(rotated, np.abs(lam + signs)) * shrink.T
+    weighted_abs_inverse = grow * _spectral_map(rotated, 1.0 / np.abs(lam + signs)) * grow.T
+    sign_conjugate = grow * _spectral_map(rotated, signs) * shrink.T
+    shifted_inverse_pair = grow * _spectral_map(rotated, 1.0 / (lam + signs)) * grow.T
+    shifted_forward_pair = shrink * (to_frame @ shifted @ weight.eigenvectors) * shrink.T
 
     def within(mat: np.ndarray, scale: float) -> bool:
-        return _norm2_above(mat, FLAG_TOL * max(1.0, scale)) is None
+        bound = FLAG_TOL * max(1.0, scale)
+        return bool(np.linalg.norm(mat) <= bound or _gram_norm(mat) <= bound)
+
+    def symmetric(mat: np.ndarray, scale: float) -> bool:
+        return bool(np.isfinite(mat).all() and within(mat - mat.conj().T, scale))
 
     norm_x = _sym_norm(weighted_abs)
     norm_y = _sym_norm(weighted_abs_inverse)
-    norm_k = float(np.linalg.norm(sign_conjugate, 2))
+    norm_k = _gram_norm(sign_conjugate)
     norm_xt = _sym_norm(shifted_inverse_pair)
 
-    involution_residual = float(np.linalg.norm(sign_conjugate @ sign_conjugate - eye, 2))
+    involution_residual = _gram_norm(sign_conjugate @ sign_conjugate - eye)
     # Both factors of each inverse pair are symmetric: S F - I = (F S - I)^T.
-    pair_defect = shifted_inverse_pair @ shifted_forward_pair - eye
-    inverse_pair_residual = float(np.linalg.norm(pair_defect, 2))
-    # sign_gap, B and |B| are functions of one decomposition: both products are symmetric.
-    sign_gap = sign_mat - apply_fn(decomp, _signum(decomp, 0.0))
-    sgn_invariance_residual = max(
-        _sym_norm(sign_gap @ sym_b), _sym_norm(sign_gap @ apply_fn(decomp, abs))
-    )
-
-    flag_x = bool(
-        np.isfinite(weighted_abs).all() and within(weighted_abs - weighted_abs.conj().T, norm_x)
-    )
-    flag_y = bool(
-        np.isfinite(weighted_abs_inverse).all()
-        and within(weighted_abs_inverse - weighted_abs_inverse.conj().T, norm_y)
-    )
+    inverse_pair_residual = _gram_norm(shifted_inverse_pair @ shifted_forward_pair - eye)
+    # (sgn_s - sgn_0)(B) B and (sgn_s - sgn_0)(B) |B| both have norm max |(sgn_s - sgn_0) lam|.
+    sign_gap = signs - _signum(decomp, 0.0)(lam)
+    sgn_invariance_residual = float(np.max(np.abs(sign_gap * lam), initial=0.0))
+    flag_x = symmetric(weighted_abs, norm_x)
+    flag_y = symmetric(weighted_abs_inverse, norm_y)
     conditions = {
         "i": bool(
             within(weighted_abs @ weighted_abs_inverse - eye, norm_x * norm_y)
@@ -211,21 +219,15 @@ def sufficient_definite(
     sym_b = symmetrize(operator, "operator")
     vals = np.linalg.eigvalsh(sym_h)
     tau = kernel_tol(sym_h.shape[0], float(np.max(np.abs(vals), initial=0.0)))
-    n = sym_b.shape[0]
-    if vals[0] > tau:
-        defect = _norm2_above(sgn_matrix(sym_b, 1) - np.eye(n), 1e-10)
-        if defect is not None:
-            raise InternalCheckError(
-                f"positive coefficient but sign is not the identity: defect {defect:.3e}"
-            )
-        return True
-    if vals[-1] < -tau:
-        defect = _norm2_above(sgn_matrix(sym_b, -1) + np.eye(n), 1e-10)
-        if defect is not None:
-            raise InternalCheckError(
-                f"negative coefficient but sign is not minus identity: defect {defect:.3e}"
-            )
-        return True
+    for sign, definite in ((1, vals[0] > tau), (-1, vals[-1] < -tau)):
+        if definite:
+            defect = _norm2_above(sgn_matrix(sym_b, sign) - sign * np.eye(sym_b.shape[0]), 1e-10)
+            if defect is not None:
+                raise InternalCheckError(
+                    f"{'positive' if sign > 0 else 'negative'} coefficient but sign is not "
+                    f"{sign:+d} times the identity: defect {defect:.3e}"
+                )
+            return True
     return False
 
 
@@ -365,9 +367,9 @@ def family_diagnostics(
 
         lowest = float(weight.eigenvalues[0])
         cond = weight.source_norm / lowest if lowest > 0 else float("inf")
-        grow = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
-        shrink = apply_fn(weight, lambda lam: 1.0 / np.sqrt(1.0 + lam))
-        conj_norm = float(np.linalg.norm(grow @ sym_h @ shrink, 2))
+        grow = np.sqrt(1.0 + weight.eigenvalues)  # (A+I)^(1/2) H (A+I)^(-1/2) in the eigenbasis
+        in_frame = weight.eigenvectors.conj().T @ sym_h @ weight.eigenvectors
+        conj_norm = _gram_norm(grow[:, None] * in_frame / grow)
 
         sequences["operator"].append(decomp.source_norm)
         sequences["weight_condition"].append(cond)

@@ -27,24 +27,27 @@ from formrep import (
     offdiag_problem,
     run,
 )
+from formrep.stability import _stability
 
 #: (spec arguments, expected counts).  ``assemble_offdiag`` runs once per
 #: offdiag run; the two block weights, ``T T*``, ``T* T``, the operator
 #: (decomposed once in assembly; the kernel oracle and the stability suite
 #: read that decomposition from the result) and the two kernel intersections
 #: account for its seven ``eigh`` calls.  The SVDs left are the reported norms
-#: of non-symmetric matrices: ``[J, A]`` and the sign conjugate's norm and two
-#: residuals on both paths, plus the coupling norm and two principal angles
-#: and two annihilator pairings on the offdiag path.  ``(A+I)^(1/2)`` is mapped
-#: once per offdiag problem.
+#: of non-symmetric matrices outside the stability suite: ``[J, A]`` on the
+#: general path, the coupling norm, two principal angles and two annihilator
+#: pairings on the offdiag path.  The suite takes no SVD and maps no function
+#: with ``apply_fn``; its seven ``eigvalsh`` calls are the unit gap, three
+#: symmetric norms and three Gram matrices.  ``(A+I)^(1/2)`` is mapped once
+#: per offdiag problem.
 CASES = {
     "general": (
         ("general", 16, 3),
-        {"eigh": 3, "eigvalsh": 11, "svd": 4, "apply_fn": 14, "assemble_offdiag": 0},
+        {"eigh": 3, "eigvalsh": 12, "svd": 1, "apply_fn": 6, "assemble_offdiag": 0},
     ),
     "offdiag": (
         ("offdiag", (6, 5), 1, 0.5, (2, 1)),
-        {"eigh": 7, "eigvalsh": 7, "svd": 8, "apply_fn": 16, "assemble_offdiag": 1},
+        {"eigh": 7, "eigvalsh": 8, "svd": 5, "apply_fn": 8, "assemble_offdiag": 1},
     ),
 }
 
@@ -99,17 +102,30 @@ def test_refused_run_certifies_once(counts):
     assert report.exit_code == 1
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_results_carry_their_decompositions(case):
+def built(case):
+    """The result of assembling the case's problem, and its weight matrix."""
     matrices = gen_random(*CASES[case][0]).matrices
     if case == "general":
         inv = make_involution(matrices["J"])
-        result = associate_general(matrices["A"], matrices["H"], inv)
-        weight = matrices["A"]
-    else:
-        problem = offdiag_problem(matrices["A_plus"], matrices["A_minus"], matrices["T"])
-        result = assemble_offdiag(problem)
-        weight = problem.full_weight()
+        return associate_general(matrices["A"], matrices["H"], inv), matrices["A"]
+    problem = offdiag_problem(matrices["A_plus"], matrices["A_minus"], matrices["T"])
+    return assemble_offdiag(problem), problem.full_weight()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_results_carry_their_decompositions(case):
+    result, weight = built(case)
     for decomp, mat in ((result.decomposition, result.operator), (result.weight, weight)):
         scale = 1e-12 * mat.shape[0] * np.linalg.norm(mat, 2)
         assert np.linalg.norm(decomp.reconstruct() - mat, 2) <= scale
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stability_suite_takes_no_svd_and_no_callback_map(case, counts):
+    result, _ = built(case)
+    counts.clear()
+    _stability(result.weight, result.operator, result.decomposition, 1)
+    # eigvalsh: the unit gap, three symmetric norms and three Gram matrices.
+    assert {name: counts[name] for name in ("eigh", "eigvalsh", "svd", "apply_fn")} == {
+        "eigh": 0, "eigvalsh": 7, "svd": 0, "apply_fn": 0
+    }

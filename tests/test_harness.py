@@ -20,7 +20,9 @@ from formrep import (
     save_spec,
     spec_to_dict,
 )
+from formrep import harness
 from formrep.cli import main
+from formrep.harness import FAMILIES, MAX_RANDOM_DIM
 
 MINIMAL_GENERAL = {
     "kind": "general",
@@ -191,7 +193,7 @@ class TestGenerators:
 
     def test_dimension_bounds(self):
         with pytest.raises(Exception):
-            gen_random("general", 513, seed=0)
+            gen_random("general", MAX_RANDOM_DIM + 1, seed=0)
 
 
 class TestRun:
@@ -295,6 +297,34 @@ class TestCli:
 
     def test_family_comma_syntax(self):
         assert main(["family", "constant", "--sizes", "1,2"]) == 0
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_families_pass_with_finite_reports(self, name):
+        assert main(["family", name, "--sizes", "1..6"]) == 0
+
+    def test_non_finite_family_norm_exit_two_one_line(self, monkeypatch, capsys):
+        def singular(size):  # a singular weight has an infinite condition number
+            return np.diag([0.0, 1.0] * size), np.diag([1.0, -1.0] * size)
+
+        monkeypatch.setitem(FAMILIES, "singular", singular)
+        assert main(["family", "singular", "--sizes", "1,2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: report contains a non-finite number\n"
+
+    def test_matrix_above_the_dimension_cap_exit_two_one_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(harness, "MAX_RANDOM_DIM", 2)
+        payload = json.loads(json.dumps(MINIMAL_GENERAL))
+        # The cap is checked before any entry is converted.
+        payload["matrices"]["H"] = [["x"] * 3] * 3
+        assert main(["verify", write_json(tmp_path, payload)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: matrix H is 3 x 3, above the dimension cap 2\n"
+        payload["matrices"]["H"] = [["1", "0", "0"]] * 2
+        assert main(["verify", write_json(tmp_path, payload)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: matrix H is 2 x 3, above the dimension cap 2\n"
 
     def test_generate_and_verify(self, tmp_path):
         out = str(tmp_path / "gen.json")

@@ -7,8 +7,15 @@ parity cases each of these is compared with the SVD formula it replaced:
 gated norms agree to ``REL_TOL`` relative; rounding-level residuals are
 held, as in ``test_parity.py``, only to the bounds of the flags that hold
 them, and every flag must come out the same.
+
+The suite itself runs in the weight's eigenbasis.  ``original_basis_suite``
+keeps the computation it replaced, in the original basis with SVD 2-norms,
+as the oracle for that change: the reported norms and the unit gap agree to
+``REL_TOL`` relative, every flag is equal, and each Gram-based norm equals
+the SVD of the same matrix.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -18,14 +25,19 @@ from formrep import (
     assemble_offdiag,
     associate_general,
     check_offdiagonal,
+    eig_sym,
     make_involution,
     offdiag_problem,
 )
-from formrep.spectral import _signum, _sym_norm, apply_fn
-from formrep.stability import FLAG_TOL, _stability
+from formrep.errors import InternalCheckError
+from formrep.spectral import _norm2_above, _signum, _sym_norm, apply_fn, min_abs_eig
+from formrep.stability import FLAG_TOL, StabilityReport, _gram_norm, _stability
 from test_parity import CASES, build
 
 REL_TOL = 1e-12
+
+#: The parity cases plus one n=384 problem of each kind.
+ORACLE_CASES = CASES + ["general-384-0", "offdiag-192x192-1"]
 
 
 def norm(mat):
@@ -71,6 +83,85 @@ def svd_suite(weight, sym_b, decomp):
     return out
 
 
+def original_basis_suite(weight, sym_b, decomp, s):
+    """The suite in the original basis: ``(A+I)^(1/2)`` and ``(A+I)^(-1/2)``
+    mapped from the weight, every product formed at full size, and the sign
+    conjugate's norm and both residuals taken by SVD.  Returns the report and
+    the three matrices whose norms the suite now reads from Gram matrices."""
+    eye = np.eye(sym_b.shape[0])
+    grow = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
+    shrink = apply_fn(weight, lambda lam: 1.0 / np.sqrt(1.0 + lam))
+    signed = _signum(decomp, float(s))
+    sign_mat = apply_fn(decomp, signed)
+    shifted_gap = min_abs_eig(sym_b + sign_mat)
+    if shifted_gap < 1.0 - 1e-10:
+        raise InternalCheckError(
+            f"shifted matrix lost its unit gap: min |eig(B + sgn B)| = {shifted_gap!r}"
+        )
+    abs_shifted = apply_fn(decomp, lambda lam: abs(lam + signed(lam)))
+    inv_shifted = apply_fn(decomp, lambda lam: 1.0 / (lam + signed(lam)))
+    inv_abs_shifted = apply_fn(decomp, lambda lam: 1.0 / abs(lam + signed(lam)))
+
+    weighted_abs = shrink @ abs_shifted @ shrink
+    weighted_abs_inverse = grow @ inv_abs_shifted @ grow
+    sign_conjugate = grow @ sign_mat @ shrink
+    shifted_inverse_pair = grow @ inv_shifted @ grow
+    shifted_forward_pair = shrink @ (sym_b + sign_mat) @ shrink
+
+    def within(mat, scale):
+        return _norm2_above(mat, FLAG_TOL * max(1.0, scale)) is None
+
+    norm_x = _sym_norm(weighted_abs)
+    norm_y = _sym_norm(weighted_abs_inverse)
+    norm_k = norm(sign_conjugate)
+    norm_xt = _sym_norm(shifted_inverse_pair)
+    involution_defect = sign_conjugate @ sign_conjugate - eye
+    pair_defect = shifted_inverse_pair @ shifted_forward_pair - eye
+    sign_gap = sign_mat - apply_fn(decomp, _signum(decomp, 0.0))
+    sgn_invariance_residual = max(
+        _sym_norm(sign_gap @ sym_b), _sym_norm(sign_gap @ apply_fn(decomp, abs))
+    )
+    flag_x = bool(
+        np.isfinite(weighted_abs).all() and within(weighted_abs - weighted_abs.conj().T, norm_x)
+    )
+    flag_y = bool(
+        np.isfinite(weighted_abs_inverse).all()
+        and within(weighted_abs_inverse - weighted_abs_inverse.conj().T, norm_y)
+    )
+    conditions = {
+        "i": bool(
+            within(weighted_abs @ weighted_abs_inverse - eye, norm_x * norm_y)
+            and norm(pair_defect) <= FLAG_TOL * max(1.0, norm_xt * norm_y)
+        ),
+        "ii": flag_x,
+        "iii": flag_x,
+        "ii'": flag_y,
+        "iii'": flag_y,
+        "iv": bool(norm(involution_defect) <= FLAG_TOL * max(1.0, norm_k**2)),
+        "v": bool(
+            np.isfinite(sign_conjugate).all()
+            and within(sign_conjugate - shifted_inverse_pair @ weighted_abs, norm_xt * norm_x)
+        ),
+    }
+    report = StabilityReport(
+        norm_weighted_abs=norm_x,
+        norm_weighted_abs_inverse=norm_y,
+        norm_sign_conjugate=norm_k,
+        involution_residual=norm(involution_defect),
+        inverse_pair_residual=norm(pair_defect),
+        sgn_invariance_residual=sgn_invariance_residual,
+        shifted_gap=shifted_gap,
+        conditions=conditions,
+    )
+    gram_normed = {
+        "norm_sign_conjugate": sign_conjugate,
+        "involution_residual": involution_defect,
+        "inverse_pair_residual": pair_defect,
+    }
+    return report, gram_normed, norm_xt
+
+
+@functools.lru_cache(maxsize=None)
 def assembled(case):
     matrices = build(case).matrices
     if case.startswith("general"):
@@ -117,3 +208,68 @@ def test_offdiagonal_residual_matches_the_svd(case):
             assert residual <= 1e-10 * norm(mat)
         else:
             assert math.isclose(residual, expected, rel_tol=REL_TOL), (residual, expected)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_suite_matches_the_original_basis(case):
+    result, _ = assembled(case)
+    args = (result.weight, result.operator, result.decomposition, 1)
+    report = _stability(*args)
+    oracle, _, norm_xt = original_basis_suite(*args)
+    for key in ("norm_weighted_abs", "norm_weighted_abs_inverse", "norm_sign_conjugate"):
+        got, want = getattr(report, key), getattr(oracle, key)
+        assert math.isclose(got, want, rel_tol=REL_TOL), (key, got, want)
+    assert math.isclose(report.shifted_gap, oracle.shifted_gap, rel_tol=REL_TOL)
+    assert dict(report.conditions) == dict(oracle.conditions)
+    assert all(report.conditions.values())
+    bounds = {
+        "involution_residual": FLAG_TOL * max(1.0, report.norm_sign_conjugate**2),
+        "inverse_pair_residual": FLAG_TOL * max(1.0, norm_xt * report.norm_weighted_abs_inverse),
+        "sgn_invariance_residual": FLAG_TOL * max(1.0, result.decomposition.source_norm),
+    }
+    for key, bound in bounds.items():
+        assert getattr(report, key) <= bound, (key, getattr(report, key), bound)
+        assert getattr(oracle, key) <= bound, (key, getattr(oracle, key), bound)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_gram_norms_match_the_svd(case):
+    result, _ = assembled(case)
+    _, gram_normed, _ = original_basis_suite(
+        result.weight, result.operator, result.decomposition, 1
+    )
+    for key, mat in gram_normed.items():
+        assert math.isclose(_gram_norm(mat), norm(mat), rel_tol=REL_TOL), key
+
+
+def test_gram_norm_edges():
+    assert _gram_norm(np.zeros((4, 3))) == 0.0
+    raw = np.random.default_rng(7).standard_normal((6, 5))
+    for scale in (1.0, 1e-160, 1e150):
+        mat = scale * raw
+        assert math.isclose(_gram_norm(mat), norm(mat), rel_tol=REL_TOL), scale
+
+
+def test_unit_gap_is_checked_on_the_operator():
+    # The decomposition of -B gives B the wrong sign: B + sgn(-B) has an
+    # eigenvalue |lam| - 1 inside (-1, 1), though |lam + sgn lam| >= 1 for
+    # every eigenvalue lam of the decomposition.
+    result, _ = assembled("general-5-0")
+    wrong = eig_sym(-result.operator)
+    with pytest.raises(InternalCheckError, match="unit gap"):
+        _stability(result.weight, result.operator, wrong, 1)
+
+
+def test_condition_i_tests_the_decomposition_against_the_operator():
+    # Scaling B keeps its kernel and the unit gap of B + sgn B, but no longer
+    # matches the decomposition: the inverse pair misses by about 1e-6.
+    result, _ = assembled("general-24-1")
+    moved = (1.0 + 1e-6) * result.operator
+    args = (result.weight, moved, result.decomposition, 1)
+    report = _stability(*args)
+    oracle, _, _ = original_basis_suite(*args)
+    assert report.conditions == oracle.conditions
+    assert not report.conditions["i"] and report.conditions["iv"]
+    # A difference from I keeps the absolute rounding of its O(1) terms, about
+    # 1e-15: 1e-9 of this residual.
+    assert math.isclose(report.inverse_pair_residual, oracle.inverse_pair_residual, rel_tol=1e-8)
