@@ -1,16 +1,15 @@
 """Wall time and peak memory of ``harness.run`` across problem sizes.
 
 Runs each size in its own Python process, so that its peak resident set
-size is its own: a general problem ``gen_random("general", n, seed)`` for
-each ``n`` in ``--general`` and an offdiag problem
-``gen_random("offdiag", (p, p), seed)`` for each ``p`` in ``--offdiag``.
-Each process times ``--repeats`` runs of ``harness.run`` on one generated
+size is its own: a general problem ``gen_random("general", n, SEED)`` for
+each ``n`` in ``GENERAL_SIZES`` and an offdiag problem
+``gen_random("offdiag", (p, p), SEED)`` for each ``p`` in ``OFFDIAG_SIZES``.
+Each process times ``REPEATS`` runs of ``harness.run`` on one generated
 spec and keeps the best.  The JSON written to ``--out`` (or standard
 output) holds, per size, the best and all wall times in seconds, the peak
 RSS in MB and whether every run passed.
 
-    python3 scripts/size_sweep.py --repeats 2 --out sweep.json
-    python3 scripts/size_sweep.py --general 512 --offdiag 256 --repeats 3
+    python3 scripts/size_sweep.py --out sweep.json
 
 formrep is imported from the ``src`` directory of the checkout that holds
 this script, so a copy of the script measures the tree it is copied into.
@@ -30,19 +29,20 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+GENERAL_SIZES = (512, 1024, 2048)
+OFFDIAG_SIZES = (256, 512, 1024)
+REPEATS = 2
+SEED = 0
 
-def _sizes(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
 
-
-def measure(kind: str, size: int, repeats: int, seed: int) -> dict:
-    """Best-of-``repeats`` ``harness.run`` on one problem, in this process."""
+def measure(kind: str, size: int) -> dict:
+    """Best-of-``REPEATS`` ``harness.run`` on one problem, in this process."""
     sys.path.insert(0, str(SRC))
     from formrep import gen_random, run
 
-    spec = gen_random(kind, size if kind == "general" else (size, size), seed)
+    spec = gen_random(kind, size if kind == "general" else (size, size), SEED)
     walls, passed = [], True
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         report = run(spec)
         walls.append(time.perf_counter() - start)
@@ -54,40 +54,30 @@ def measure(kind: str, size: int, repeats: int, seed: int) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--general", type=_sizes, default=[512, 1024, 2048])
-    parser.add_argument("--offdiag", type=_sizes, default=[256, 512, 1024])
-    parser.add_argument("--repeats", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out")
     parser.add_argument("--one", nargs=2, metavar=("KIND", "SIZE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.one:
-        kind, size = args.one[0], int(args.one[1])
-        print(json.dumps(measure(kind, size, args.repeats, args.seed)))
+        print(json.dumps(measure(args.one[0], int(args.one[1]))))
         return 0
 
     import numpy
 
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     results = {}
-    for kind, sizes in (("general", args.general), ("offdiag", args.offdiag)):
+    for kind, sizes in (("general", GENERAL_SIZES), ("offdiag", OFFDIAG_SIZES)):
         for size in sizes:
-            command = [
-                sys.executable, __file__, "--one", kind, str(size),
-                "--repeats", str(args.repeats), "--seed", str(args.seed),
-            ]
+            command = [sys.executable, __file__, "--one", kind, str(size)]
             child = subprocess.run(command, capture_output=True, text=True)
             if child.returncode:
                 sys.exit(f"{kind} {size} failed: {child.stderr.strip().splitlines()[-1:]}")
-            out = child.stdout
             label = f"general-{size}" if kind == "general" else f"offdiag-{size}x{size}"
-            results[label] = json.loads(out.splitlines()[-1])
+            results[label] = json.loads(child.stdout.splitlines()[-1])
             print(label, json.dumps(results[label]), file=sys.stderr)
     document = {
-        "command": " ".join([Path(sys.argv[0]).name, *(argv or sys.argv[1:])]),
-        "repeats": args.repeats,
-        "seed": args.seed,
+        "repeats": REPEATS,
+        "seed": SEED,
         "host": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),

@@ -81,12 +81,22 @@ def symmetrize(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     return (arr + herm) / 2.0
 
 
+def _gram_norm(mat: np.ndarray) -> float:
+    """``||mat||_2`` from the Gram matrix of ``mat`` over its largest entry: the
+    division keeps a rounding-level residual from underflowing when squared."""
+    scale = float(np.max(np.abs(mat), initial=0.0))
+    if scale == 0.0:
+        return 0.0
+    unit = mat / scale
+    return scale * float(np.sqrt(max(np.linalg.eigvalsh(unit.conj().T @ unit)[-1], 0.0)))
+
+
 def _norm2_above(mat: np.ndarray, bound: float) -> float | None:
     """``||mat||_2`` if it exceeds ``bound``, else None.  ``||D||_2 <= ||D||_F``,
-    so the Frobenius norm accepts most matrices without an SVD."""
+    so the Frobenius norm accepts most matrices without a 2-norm."""
     if np.linalg.norm(mat) <= bound:
         return None
-    norm = float(np.linalg.norm(mat, 2))
+    norm = _gram_norm(mat)
     return norm if norm > bound else None
 
 

@@ -20,11 +20,12 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import EnumerationBoundError, InternalCheckError, FormrepError
+from .errors import EnumerationBoundError, FormrepError, InternalCheckError, SingularMatrixError
 from .general import _clamped_weight, check_gap_hypothesis
 from .involution import Involution, enumerate_diagonal_involutions
 from .spectral import (
     SpectralDecomposition,
+    _gram_norm,
     _norm2_above,
     _signum,
     _spectral_map,
@@ -119,16 +120,6 @@ def stability_suite(
     return _stability(_clamped_weight(sym_a), sym_b, eig_sym(sym_b), s)
 
 
-def _gram_norm(mat: np.ndarray) -> float:
-    """``||mat||_2`` from the Gram matrix of ``mat`` over its largest entry: the
-    division keeps a rounding-level residual from underflowing when squared."""
-    scale = float(np.max(np.abs(mat), initial=0.0))
-    if scale == 0.0:
-        return 0.0
-    unit = mat / scale
-    return scale * float(np.sqrt(max(np.linalg.eigvalsh(unit.conj().T @ unit)[-1], 0.0)))
-
-
 def _stability(
     weight: SpectralDecomposition, sym_b: np.ndarray, decomp: SpectralDecomposition, s: int
 ) -> StabilityReport:
@@ -159,8 +150,7 @@ def _stability(
     shifted_forward_pair = shrink * (to_frame @ shifted @ weight.eigenvectors) * shrink.T
 
     def within(mat: np.ndarray, scale: float) -> bool:
-        bound = FLAG_TOL * max(1.0, scale)
-        return bool(np.linalg.norm(mat) <= bound or _gram_norm(mat) <= bound)
+        return _norm2_above(mat, FLAG_TOL * max(1.0, scale)) is None
 
     def symmetric(mat: np.ndarray, scale: float) -> bool:
         return bool(np.isfinite(mat).all() and within(mat - mat.conj().T, scale))
@@ -316,11 +306,11 @@ def family_diagnostics(
 ) -> FamilyDiagnostics:
     """Collect growth diagnostics for a truncation family.
 
-    For each family index the driver exhaustively sweeps every diagonal
-    splitting for a gap certificate, force-builds the associated matrix,
-    and records the stability-suite norms, the operator norm, the weight
-    condition number, and the conjugated-coefficient norm (the
-    finite-dimensional proxy for coefficient-preserves-domain).
+    For each family index the driver exhaustively sweeps every diagonal splitting for a
+    gap certificate, force-builds the associated matrix, and records the stability-suite
+    norms, the operator norm, the weight condition number (a singular weight raises
+    ``SingularMatrixError``) and the conjugated-coefficient norm (the finite-dimensional
+    proxy for coefficient-preserves-domain).
     """
     s = _validate_zero_sign(zero_sign)
     sizes = list(sizes)
@@ -347,6 +337,9 @@ def family_diagnostics(
         sym_a = symmetrize(mat_a, "family weight")
         sym_h = symmetrize(mat_h, "family coefficient")
         n = sym_a.shape[0]
+        weight = _clamped_weight(sym_a)
+        if weight.eigenvalues[0] <= 0.0:
+            raise SingularMatrixError(f"family weight at size {idx} is singular")
 
         any_certified = False
         for inv in enumerate_diagonal_involutions(n):
@@ -359,20 +352,17 @@ def family_diagnostics(
                 break
         outcomes.append(any_certified)
 
-        weight = _clamped_weight(sym_a)
         root = apply_fn(weight, np.sqrt)
         operator = symmetrize(root @ sym_h @ root, "family operator")
         decomp = eig_sym(operator)
         report = _stability(weight, operator, decomp, s)
 
-        lowest = float(weight.eigenvalues[0])
-        cond = weight.source_norm / lowest if lowest > 0 else float("inf")
         grow = np.sqrt(1.0 + weight.eigenvalues)  # (A+I)^(1/2) H (A+I)^(-1/2) in the eigenbasis
         in_frame = weight.eigenvectors.conj().T @ sym_h @ weight.eigenvectors
         conj_norm = _gram_norm(grow[:, None] * in_frame / grow)
 
         sequences["operator"].append(decomp.source_norm)
-        sequences["weight_condition"].append(cond)
+        sequences["weight_condition"].append(weight.source_norm / float(weight.eigenvalues[0]))
         sequences["weighted_abs"].append(report.norm_weighted_abs)
         sequences["weighted_abs_inverse"].append(report.norm_weighted_abs_inverse)
         sequences["sign_conjugate"].append(report.norm_sign_conjugate)

@@ -303,13 +303,26 @@ class TestCli:
         assert main(["family", name, "--sizes", "1..6"]) == 0
 
     def test_non_finite_family_norm_exit_two_one_line(self, monkeypatch, capsys):
-        def singular(size):  # a singular weight has an infinite condition number
-            return np.diag([0.0, 1.0] * size), np.diag([1.0, -1.0] * size)
+        diagnostics = harness.family_diagnostics
 
-        monkeypatch.setitem(FAMILIES, "singular", singular)
-        assert main(["family", "singular", "--sizes", "1,2"]) == 2
+        def with_nan(generator, sizes):
+            out = diagnostics(generator, sizes)
+            out.norm_sequences["coefficient_conjugate"][-1] = float("nan")
+            return out
+
+        monkeypatch.setattr(harness, "family_diagnostics", with_nan)
+        assert main(["family", "constant", "--sizes", "1,2"]) == 2
         err = capsys.readouterr().err
         assert err == "error: report contains a non-finite number\n"
+
+    def test_singular_family_weight_exit_two_one_line(self, monkeypatch, capsys):
+        def singular(size):  # regular at size 1, singular from size 2 on
+            return np.diag([float(size == 1), 1.0] * size), np.diag([1.0, -1.0] * size)
+
+        monkeypatch.setitem(FAMILIES, "singular", singular)
+        assert main(["family", "singular", "--sizes", "1..3"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: family weight at size 2 is singular\n"
 
     def test_matrix_above_the_dimension_cap_exit_two_one_line(
         self, tmp_path, monkeypatch, capsys

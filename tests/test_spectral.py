@@ -223,6 +223,7 @@ class TestFrobeniusFirstNorm:
 
     @pytest.fixture
     def svd_calls(self, monkeypatch):
+        """Shapes handed to ``svd`` and, as ``("eigvalsh", shape)``, to ``eigvalsh``."""
         linalg = importlib.import_module("numpy.linalg._linalg")
         calls = []
 
@@ -230,8 +231,13 @@ class TestFrobeniusFirstNorm:
             calls.append(args[0].shape)
             return svd(*args, **kwargs)
 
-        svd = linalg.svd
+        def counted_eigvalsh(mat, *args, **kwargs):
+            calls.append(("eigvalsh", mat.shape))
+            return eigvalsh(mat, *args, **kwargs)
+
+        svd, eigvalsh = linalg.svd, np.linalg.eigvalsh
         monkeypatch.setattr(linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         return calls
 
     def test_frobenius_norm_accepts_without_an_svd(self, svd_calls):
@@ -243,7 +249,8 @@ class TestFrobeniusFirstNorm:
         assert np.linalg.norm(mat) > self.BOUND
         svd_calls.clear()
         assert _norm2_above(mat, self.BOUND) is None
-        assert svd_calls == [(16, 16)]
+        # The 2-norm comes from the Gram matrix, not from an SVD.
+        assert svd_calls == [("eigvalsh", (16, 16))]
 
     def test_both_fail_and_the_message_carries_the_spectral_norm(self):
         root = np.sqrt(1.0 + 2 * self.BOUND)
