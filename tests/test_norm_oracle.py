@@ -72,7 +72,7 @@ def svd_suite(weight, sym_b, decomp):
         "involution_residual": conj @ conj - eye,
         "inverse_pair_residual": xt @ forward - eye,
     }
-    out["involution_residual"] = norm(conj @ conj - eye)
+    out["involution_residual"] = norm(out["gram_normed"]["involution_residual"])
     out["inverse_pair_residual"] = inverse_defect(xt, forward)
     out["sgn_invariance_residual"] = max(
         norm(sign_gap @ sym_b), norm(sign_gap @ apply_fn(decomp, abs))
