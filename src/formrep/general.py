@@ -47,6 +47,8 @@ logger = logging.getLogger(__name__)
 
 #: Number of extra random probe pairs is 2*n; canonical pairs added up to this n.
 CANONICAL_PROBE_LIMIT = 16
+#: Probe columns evaluated at once, so that no temporary is wider than n x 256.
+_PROBE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -132,23 +134,17 @@ def weight_sqrt(mat: np.ndarray) -> np.ndarray:
     return apply_fn(_clamped_weight(mat), np.sqrt)
 
 
-def default_probes(
-    n: int, seed: int = 0, canonical_limit: int = CANONICAL_PROBE_LIMIT
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Seeded probe pairs: ``2n`` random unit Gaussians, plus all canonical
-    basis pairs when ``n <= canonical_limit``."""
-    rng = np.random.default_rng(seed)
-    probes: list[tuple[np.ndarray, np.ndarray]] = []
-    for _ in range(2 * n):
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        probes.append((x / np.linalg.norm(x), y / np.linalg.norm(y)))
-    if n <= canonical_limit:
+def default_probes(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded probe pairs as the columns of ``(X, Y)``: ``2n`` random unit Gaussians
+    (pair ``k`` from draws ``2k`` and ``2k + 1`` of ``n`` normals each), plus all
+    canonical basis pairs ``(e_i, e_j)`` when ``n <= CANONICAL_PROBE_LIMIT``."""
+    draws = np.random.default_rng(seed).standard_normal((2 * n, 2, n))
+    draws /= np.sqrt(np.einsum("ijk,ijk->ij", draws, draws))[..., None]  # no squared copy
+    xs, ys = draws[:, 0].T, draws[:, 1].T
+    if n <= CANONICAL_PROBE_LIMIT:
         eye = np.eye(n)
-        probes.extend(
-            (eye[:, i], eye[:, j]) for i in range(n) for j in range(n)
-        )
-    return probes
+        xs, ys = np.hstack([xs, np.repeat(eye, n, axis=1)]), np.hstack([ys, np.tile(eye, n)])
+    return xs, ys
 
 
 def check_gap_hypothesis(
@@ -242,33 +238,34 @@ def _pairing(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _probe_residuals(
-    probes: list[tuple[np.ndarray, np.ndarray]],
+    probes: tuple[np.ndarray, np.ndarray],
     scale: float,
     form: Callable[[np.ndarray, np.ndarray], np.ndarray],
     *sides: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> list[float]:
     """Largest ``|form(x, y) - side(x, y)| / (||x|| ||y|| scale)`` over the probes, per side.
 
-    The pairs are stacked as the columns of ``X`` and ``Y``; ``form`` and each
-    side map ``(X, Y)`` to the value of every column pair."""
-    if not probes:
+    The pairs are the columns of ``probes = (X, Y)``; ``form`` and each side map a
+    block of columns of ``X`` and ``Y`` to the value of every column pair in it."""
+    xs, ys = probes
+    if xs.ndim != 2 or xs.shape[1] == 0:
         raise MatrixValidationError("at least one probe pair is needed")
-    xs = np.column_stack([x for x, _ in probes])
-    ys = np.column_stack([y for _, y in probes])
-    norm_x = np.linalg.norm(xs, axis=0)
-    norm_y = np.linalg.norm(ys, axis=0)
-    if not (np.all(norm_x > 0.0) and np.all(norm_y > 0.0)):
-        raise MatrixValidationError("probe vectors must be nonzero")
-    target = form(xs, ys)
-    denom = norm_x * norm_y * scale
-    return [float(np.max(np.abs(target - side(xs, ys)) / denom)) for side in sides]
+    worst = np.zeros(len(sides))
+    for start in range(0, xs.shape[1], _PROBE_BLOCK):
+        x, y = xs[:, start : start + _PROBE_BLOCK], ys[:, start : start + _PROBE_BLOCK]
+        denom = np.linalg.norm(x, axis=0) * np.linalg.norm(y, axis=0) * scale
+        if not np.all(denom > 0.0):
+            raise MatrixValidationError("probe vectors must be nonzero")
+        target = form(x, y)
+        worst = np.maximum(worst, [np.max(np.abs(target - side(x, y)) / denom) for side in sides])
+    return [float(value) for value in worst]
 
 
 def _represented_side(decomp: SpectralDecomposition):
-    """``<|B|^(1/2) x, sign(B) |B|^(1/2) y>`` on stacked probes, ``sign`` 0 in the kernel."""
-    abs_root = apply_fn(decomp, lambda lam: np.sqrt(abs(lam)))
-    zero_sign = apply_fn(decomp, _signum(decomp, 0.0))
-    return lambda xs, ys: _pairing(abs_root @ xs, zero_sign @ (abs_root @ ys))
+    """``<|B|^(1/2) x, sign(B) |B|^(1/2) y> = <V* x, sign(lam)|lam| V* y>``, sign 0 in ker B."""
+    vecs_h = decomp.eigenvectors.conj().T
+    weights = _signum(decomp, 0.0)(decomp.eigenvalues) * np.abs(decomp.eigenvalues)
+    return lambda xs, ys: _pairing(vecs_h @ xs, weights[:, None] * (vecs_h @ ys))
 
 
 def _standalone(
@@ -283,6 +280,8 @@ def _standalone(
     sym_h = symmetrize(mat_h, "coefficient")
     weight = _clamped_weight(sym_a)
     root = apply_fn(weight, np.sqrt)
+    if probes is not None:  # an empty list stacks to 1-d arrays, which are rejected
+        probes = (np.array([x for x, _ in probes]).T, np.array([y for _, y in probes]).T)
     return _probe_residuals(
         default_probes(sym_a.shape[0], seed=seed) if probes is None else probes,
         (1.0 + weight.source_norm) * max(op_norm(sym_h), 1e-300),
@@ -316,10 +315,9 @@ def second_rep_residual(
 ) -> float:
     """Largest normalized defect of the represented-form identity.
 
-    Compares ``<A^(1/2)x, H A^(1/2)y>`` with
-    ``<|B|^(1/2) x, sign(B) |B|^(1/2) y>`` where both factors come from the
-    spectral mapping of the operator and ``sign`` maps eigenvalues inside
-    the kernel threshold to 0.
+    Compares ``<A^(1/2)x, H A^(1/2)y>`` with ``<|B|^(1/2) x, sign(B) |B|^(1/2) y>``,
+    read in the eigenbasis of the operator, where ``sign`` maps eigenvalues
+    inside the kernel threshold to 0.
     """
     sym_b = symmetrize(operator, "operator")
     return _standalone(mat_a, mat_h, probes, seed, _represented_side(eig_sym(sym_b)))

@@ -107,7 +107,7 @@ def _strings_to_matrix(rows: Any, name: str) -> np.ndarray:
     if width == 0 or any(len(r) != width for r in rows):
         raise SpecFormatError(f"matrix {name} has ragged or empty rows")
     try:
-        data = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
+        data = np.array([float(v) for row in rows for v in row]).reshape(len(rows), width)
     except (TypeError, ValueError) as exc:
         raise SpecFormatError(f"matrix {name} has a non-numeric entry: {exc}") from exc
     if not np.isfinite(data).all():

@@ -20,7 +20,7 @@ from .errors import (
     MatrixValidationError,
     TrivialInvolutionError,
 )
-from .spectral import SubspaceBasis, _norm2_above, eig_sym, op_norm, symmetrize
+from .spectral import SubspaceBasis, _gram_norm, _norm2_above, eig_sym, op_norm, symmetrize
 
 #: Guard for the 2^n diagonal enumeration.
 MAX_ENUMERATION_DIM = 24
@@ -130,8 +130,7 @@ def commutes(
         raise MatrixValidationError(
             f"dimension mismatch: involution is {inv.n}, matrix is {sym.shape[0]}"
         )
-    commutator = inv.matrix @ sym - sym @ inv.matrix
-    residual = float(np.linalg.norm(commutator, 2))
+    residual = _gram_norm(inv.matrix @ sym - sym @ inv.matrix)
     # max |M_ij| <= ||M||, so the entry bound settles most verdicts without an eigensolve.
     ok = residual <= tol * max(float(np.max(np.abs(sym))), _EPS_FLOOR) or (
         residual <= tol * max(op_norm(sym), _EPS_FLOOR)

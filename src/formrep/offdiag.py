@@ -62,8 +62,8 @@ class OffDiagonalProblem:
     coupling matrix ``S``; it is never taken on trust from the caller.
     ``weight_plus`` / ``weight_minus`` are the clamped block decompositions
     made while validating, ``weight`` the block-diagonal one assembled from
-    them; every function of the weight is mapped from these.
-    ``shifted_root`` is ``(A+I)^(1/2)``, mapped once from ``weight``.
+    them; every function of the weight is mapped from these: ``shifted_root``
+    is ``(A+I)^(1/2)``.  ``involution`` is the canonical splitting ``J``.
     """
 
     diag_plus: np.ndarray
@@ -74,6 +74,7 @@ class OffDiagonalProblem:
     weight_minus: SpectralDecomposition
     weight: SpectralDecomposition
     shifted_root: np.ndarray
+    involution: Involution
 
     @property
     def dim_plus(self) -> int:
@@ -104,7 +105,7 @@ class OffDiagonalProblem:
         return out
 
     def splitting(self) -> Involution:
-        return canonical_involution(self.dim_plus, self.dim_minus)
+        return self.involution
 
 
 @dataclass(frozen=True)
@@ -159,6 +160,7 @@ def offdiag_problem(
         weight_minus=weight_minus,
         weight=weight,
         shifted_root=apply_fn(weight, lambda lam: np.sqrt(1.0 + lam)),
+        involution=canonical_involution(p, weight_minus.n),
     )
 
 
@@ -200,17 +202,18 @@ def form_evaluator(problem: OffDiagonalProblem):
     The spectral factors are precomputed once; the returned callable is the
     independent side of every representation-residual comparison.  Given
     probe vectors it returns the form value; given probes stacked as the
-    columns of two matrices it returns the value of each column pair.
+    columns of two matrices it returns the value of each column pair.  ``J``
+    acts as a sign on the rows, and ``S = [[0, T], [T*, 0]]`` through ``T``.
     """
-    root = apply_fn(problem.weight, np.sqrt)
-    shifted_root = problem.shifted_root
-    j_mat = problem.splitting().matrix
-    s_mat = problem.full_coupling()
+    root, shifted_root = apply_fn(problem.weight, np.sqrt), problem.shifted_root
+    p, coupling = problem.dim_plus, problem.coupling
 
     def value(x: np.ndarray, y: np.ndarray):
-        diag_part = _pairing(root @ x, j_mat @ (root @ y))
-        coupling_part = _pairing(s_mat @ (shifted_root @ x), shifted_root @ y)
-        return diag_part + coupling_part
+        root_x, root_y = root @ x, root @ y
+        grown_x, grown_y = shifted_root @ x, shifted_root @ y
+        diag_part = _pairing(root_x[:p], root_y[:p]) - _pairing(root_x[p:], root_y[p:])
+        coupling_part = _pairing(grown_x[:p], coupling @ grown_y[p:])
+        return diag_part + coupling_part + _pairing(coupling @ grown_x[p:], grown_y[:p])
 
     return value
 

@@ -33,21 +33,22 @@ from formrep.stability import _stability
 #: offdiag run; the two block weights, ``T T*``, ``T* T``, the operator
 #: (decomposed once in assembly; the kernel oracle and the stability suite
 #: read that decomposition from the result) and the two kernel intersections
-#: account for its seven ``eigh`` calls.  The SVDs left are the reported norms
-#: of non-symmetric matrices outside the stability suite: ``[J, A]`` on the
-#: general path, the coupling norm, two principal angles and two annihilator
-#: pairings on the offdiag path.  The suite takes no SVD and maps no function
-#: with ``apply_fn``; its seven ``eigvalsh`` calls are the unit gap, three
-#: symmetric norms and three Gram matrices.  ``(A+I)^(1/2)`` is mapped once
-#: per offdiag problem.
+#: account for its seven ``eigh`` calls.  The general path takes no SVD: the
+#: norm of ``[J, A]`` comes from its Gram matrix.  The SVDs left are the
+#: reported norms of non-symmetric matrices on the offdiag path: the coupling
+#: norm, two principal angles and two annihilator pairings.  The suite takes
+#: no SVD and maps no function with ``apply_fn``; its seven ``eigvalsh`` calls
+#: are the unit gap, three symmetric norms and three Gram matrices.
+#: ``(A+I)^(1/2)`` is mapped once per offdiag problem, and the second
+#: representation residual is read in the eigenbasis of ``B`` with no map.
 CASES = {
     "general": (
         ("general", 16, 3),
-        {"eigh": 3, "eigvalsh": 12, "svd": 1, "apply_fn": 6, "assemble_offdiag": 0},
+        {"eigh": 3, "eigvalsh": 13, "svd": 0, "apply_fn": 4, "assemble_offdiag": 0},
     ),
     "offdiag": (
         ("offdiag", (6, 5), 1, 0.5, (2, 1)),
-        {"eigh": 7, "eigvalsh": 8, "svd": 5, "apply_fn": 8, "assemble_offdiag": 1},
+        {"eigh": 7, "eigvalsh": 8, "svd": 5, "apply_fn": 6, "assemble_offdiag": 1},
     ),
 }
 

@@ -76,6 +76,17 @@ class TestCommutes:
         assert not ok
         assert residual == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("n", [5, 64, 384])
+    def test_residual_is_the_svd_norm(self, n):
+        # The residual comes from the Gram matrix of [J, A]; the SVD 2-norm is the oracle.
+        inv = random_involution(n, seed=n)
+        gauss = np.random.default_rng(n + 1).standard_normal((n, n))
+        mat = gauss @ gauss.T
+        ok, residual = commutes(inv, mat)
+        oracle = np.linalg.norm(inv.matrix @ mat - mat @ inv.matrix, 2)
+        assert not ok
+        assert residual == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
     def test_identity_commutes_with_everything(self):
         inv = random_involution(6, seed=8)
         ok, residual = commutes(inv, np.eye(6))
