@@ -15,6 +15,7 @@ import logging
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import Any, Callable
 
 import numpy as np
@@ -107,7 +108,7 @@ def _strings_to_matrix(rows: Any, name: str) -> np.ndarray:
     if width == 0 or any(len(r) != width for r in rows):
         raise SpecFormatError(f"matrix {name} has ragged or empty rows")
     try:
-        data = np.array([float(v) for row in rows for v in row]).reshape(len(rows), width)
+        data = np.array(list(map(float, chain.from_iterable(rows)))).reshape(len(rows), width)
     except (TypeError, ValueError) as exc:
         raise SpecFormatError(f"matrix {name} has a non-numeric entry: {exc}") from exc
     if not np.isfinite(data).all():

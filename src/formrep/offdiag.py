@@ -199,11 +199,10 @@ def _form_scale(problem: OffDiagonalProblem) -> float:
 def form_evaluator(problem: OffDiagonalProblem):
     """Closure evaluating the form ``a[x, Jy] + v[x, y]`` from the raw data.
 
-    The spectral factors are precomputed once; the returned callable is the
-    independent side of every representation-residual comparison.  Given
-    probe vectors it returns the form value; given probes stacked as the
-    columns of two matrices it returns the value of each column pair.  ``J``
-    acts as a sign on the rows, and ``S = [[0, T], [T*, 0]]`` through ``T``.
+    The spectral factors are precomputed once; the returned callable is the independent
+    side of every representation-residual comparison.  Given probe vectors it returns the
+    form value; given probes stacked as the columns of two matrices it returns the value
+    of each column pair.  ``J`` acts as a sign on the rows, ``S`` through its block ``T``.
     """
     root, shifted_root = apply_fn(problem.weight, np.sqrt), problem.shifted_root
     p, coupling = problem.dim_plus, problem.coupling

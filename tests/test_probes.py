@@ -5,7 +5,7 @@ stacked as the columns of ``(X, Y)``; ``loop_probes`` is the per-pair loop it
 replaced and is the oracle for the draw.  The second representation residual
 pairs ``V* x`` with ``w V* y`` in the eigenbasis of ``B = V diag(lam) V*``,
 ``w = sign(lam) |lam|``; ``mapped_side`` builds ``|B|^(1/2)`` and ``sign(B)``
-with ``apply_fn`` as before and is the oracle for that side.  The residuals are
+with ``apply_fn`` and is the oracle for that side.  The residuals are
 evaluated in column blocks, so the probe stage holds no ``n x 2n`` products:
 the peak traced memory of ``associate_general`` is bounded in units of ``n^2``
 doubles.
@@ -22,7 +22,7 @@ from formrep.spectral import _signum, apply_fn
 from test_norm_oracle import ORACLE_CASES, assembled
 
 
-def loop_probes(n, seed=0, canonical_limit=CANONICAL_PROBE_LIMIT):
+def loop_probes(n, seed=0):
     """Probe pairs drawn one pair at a time, as a list."""
     rng = np.random.default_rng(seed)
     probes = []
@@ -30,7 +30,7 @@ def loop_probes(n, seed=0, canonical_limit=CANONICAL_PROBE_LIMIT):
         x = rng.standard_normal(n)
         y = rng.standard_normal(n)
         probes.append((x / np.linalg.norm(x), y / np.linalg.norm(y)))
-    if n <= canonical_limit:
+    if n <= CANONICAL_PROBE_LIMIT:
         eye = np.eye(n)
         probes.extend((eye[:, i], eye[:, j]) for i in range(n) for j in range(n))
     return probes
