@@ -158,7 +158,9 @@ def spec_from_dict(raw: dict[str, Any]) -> ProblemSpec:
     seed = raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise SpecFormatError(f"seed must be a nonnegative integer, got {seed!r}")
-    force = bool(raw.get("force", False))
+    force = raw.get("force", False)
+    if not isinstance(force, bool):
+        raise SpecFormatError(f"force must be true or false, got {force!r}")
     tolerances_raw = raw.get("tolerances", {}) or {}
     if not isinstance(tolerances_raw, dict):
         raise SpecFormatError("tolerances must be an object of name -> number")
@@ -176,7 +178,7 @@ def spec_from_dict(raw: dict[str, Any]) -> ProblemSpec:
             raise SpecFormatError("kind family requires a family object with name and sizes")
         family_name = str(fam["name"])
         if not isinstance(fam["sizes"], list) or not fam["sizes"] or not all(
-            isinstance(s, int) and s >= 1 for s in fam["sizes"]
+            type(s) is int and s >= 1 for s in fam["sizes"]
         ):
             raise SpecFormatError("family sizes must be a non-empty list of positive integers")
         sizes = [int(s) for s in fam["sizes"]]

@@ -6,15 +6,16 @@ splitting, and the perturbation ``v`` couples the two half-spaces only.
 Every such ``v`` is carried by a bounded matrix ``S = [[0, T], [T*, 0]]``
 through ``v[x, y] = <S (A+I)^(1/2) x, (A+I)^(1/2) y>``.
 
-The shifted coefficient collapses to ``[[I, T], [T*, -I]]``, which makes
-the associated matrix and, notably, its kernel explicitly computable:
+The shifted coefficient collapses to ``[[I, T], [T*, -I]]``, so with
+``G_pm = (A_pm + I)^(1/2)`` the associated matrix is the closed form
+``B = [[A_plus, G_plus T G_minus], [G_minus T* G_plus, -A_minus]]``; its kernel is explicit:
 
     ker B = (ker A_plus  /\\  annihilator_plus)
         (+) (ker A_minus /\\  annihilator_minus)
 
 where the annihilators are the images of ker T* / ker T under
-``(A_pm + I)^(-1/2)``.  An independent nullspace oracle cross-checks the
-formula on every instance.
+``(A_pm + I)^(-1/2)``; both coupling kernels come from one SVD of ``T``.  An
+independent nullspace oracle cross-checks the formula on every instance.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .spectral import (
     apply_fn,
     eig_sym,
     min_abs_eig,
-    nullspace,
     op_norm,
     orthonormal_columns,
     principal_angle,
@@ -58,8 +58,8 @@ OFFDIAG_TOL = 1e-10
 class OffDiagonalProblem:
     """Validated data of an off-diagonal perturbation problem.
 
-    ``coupling_norm`` is recomputed as the spectral norm of the embedded
-    coupling matrix ``S``; it is never taken on trust from the caller.
+    ``coupling_norm`` (the spectral norm of ``S``, never taken on trust from the caller),
+    ``adjoint_kernel`` (``ker T*``) and ``coupling_kernel`` (``ker T``) share one SVD of ``T``.
     ``weight_plus`` / ``weight_minus`` are the clamped block decompositions
     made while validating, ``weight`` the block-diagonal one assembled from
     them; every function of the weight is mapped from these: ``shifted_root``
@@ -70,6 +70,8 @@ class OffDiagonalProblem:
     diag_minus: np.ndarray
     coupling: np.ndarray
     coupling_norm: float
+    adjoint_kernel: SubspaceBasis
+    coupling_kernel: SubspaceBasis
     weight_plus: SpectralDecomposition
     weight_minus: SpectralDecomposition
     weight: SpectralDecomposition
@@ -142,8 +144,13 @@ def offdiag_problem(
         )
     if not np.isfinite(coup).all():
         raise MatrixValidationError("coupling contains NaN or Inf entries")
-    norm = float(np.linalg.norm(coup, 2)) if coup.size else 0.0
-    p = weight_plus.n
+    p, q = weight_plus.n, weight_minus.n
+    # T = U diag(s) V*: U and V are eigenvectors of T T* and T* T, eigenvalues s^2 zero-padded.
+    left, values, right_h = np.linalg.svd(coup)
+    squares = np.pad(values**2, (0, abs(p - q)))
+    adjoint_kernel = _kernel_of(SpectralDecomposition(squares[:p], left, squares[0]))
+    coupling_kernel = _kernel_of(SpectralDecomposition(squares[:q], right_h.T, squares[0]))
+    del left, right_h  # free U and V* before the n x n weight arrays: no hole left in the heap
     vals = np.concatenate([weight_plus.eigenvalues, weight_minus.eigenvalues])
     vecs = np.zeros((vals.size, vals.size))
     vecs[:p, :p] = weight_plus.eigenvectors
@@ -155,12 +162,14 @@ def offdiag_problem(
         diag_plus=sym_plus,
         diag_minus=sym_minus,
         coupling=coup,
-        coupling_norm=norm,
+        coupling_norm=float(values[0]),
+        adjoint_kernel=adjoint_kernel,
+        coupling_kernel=coupling_kernel,
         weight_plus=weight_plus,
         weight_minus=weight_minus,
         weight=weight,
         shifted_root=apply_fn(weight, lambda lam: np.sqrt(1.0 + lam)),
-        involution=canonical_involution(p, weight_minus.n),
+        involution=canonical_involution(p, q),
     )
 
 
@@ -222,14 +231,14 @@ def shifted_block_coefficient(problem: OffDiagonalProblem) -> np.ndarray:
     return problem.splitting().matrix + problem.full_coupling()
 
 
-def _assembled(problem: OffDiagonalProblem) -> tuple[np.ndarray, np.ndarray]:
-    """``(B + J, B)`` with ``B + J = (A+I)^(1/2) [[I, T], [T*, -I]] (A+I)^(1/2)``."""
-    root = problem.shifted_root
-    shifted_operator = symmetrize(
-        root @ shifted_block_coefficient(problem) @ root, "shifted operator"
-    )
-    operator = symmetrize(shifted_operator - problem.splitting().matrix, "associated matrix")
-    return shifted_operator, operator
+def _associated(problem: OffDiagonalProblem) -> np.ndarray:
+    """``B`` from its closed-form blocks, exactly symmetric; ``G_pm`` are in ``shifted_root``."""
+    p, root = problem.dim_plus, problem.shifted_root
+    operator = problem.full_weight()
+    operator[p:, p:] *= -1.0
+    operator[:p, p:] = root[:p, :p] @ problem.coupling @ root[p:, p:]
+    operator[p:, :p] = operator[:p, p:].T
+    return operator
 
 
 def assemble_offdiag(
@@ -237,13 +246,13 @@ def assemble_offdiag(
 ) -> RepresentationResult:
     """Associated matrix for the off-diagonal form.
 
-    Builds ``B = (A+I)^(1/2) [[I, T], [T*, -I]] (A+I)^(1/2) - J`` and
-    measures the first/second representation residuals against the form
-    evaluated directly from the problem data.  The gap certificate is
-    automatic here: the splitting itself creates the gap with margin 1.
+    Builds ``B = (A+I)^(1/2) [[I, T], [T*, -I]] (A+I)^(1/2) - J`` as the closed form
+    ``[[A_plus, X], [X*, -A_minus]]``, ``X = G_plus T G_minus``, and measures the first/second
+    representation residuals against the form evaluated directly from the problem data.  The gap
+    certificate is automatic here: the splitting itself creates the gap with margin 1.
     """
     shifted_coeff = shifted_block_coefficient(problem)
-    shifted_operator, operator = _assembled(problem)
+    operator = _associated(problem)
     decomp = eig_sym(operator)
     first, second = _probe_residuals(
         default_probes(problem.dim, seed=probe_seed),
@@ -254,7 +263,7 @@ def assemble_offdiag(
     )
     return RepresentationResult(
         operator=operator,
-        shifted_operator=shifted_operator,
+        shifted_operator=operator + problem.splitting().matrix,
         compressed_coefficient=direct_coefficient(problem, verify=False),
         shifted_coefficient=shifted_coeff,
         gap_radius=min_abs_eig(shifted_coeff),
@@ -284,7 +293,7 @@ def direct_coefficient(
     out[:p, :p] -= apply_fn(problem.weight_plus, lambda lam: 1.0 / (1.0 + lam))
     out[p:, p:] += apply_fn(problem.weight_minus, lambda lam: 1.0 / (1.0 + lam))
     if verify:
-        _verify_direct(problem, out, _assembled(problem)[1])
+        _verify_direct(problem, out, _associated(problem))
     return out
 
 
@@ -320,7 +329,7 @@ def kernel_via_theorem(problem: OffDiagonalProblem) -> KernelReport:
     both bases, the largest principal angle between them, and a dimension
     comparison.
     """
-    return _kernel_report(problem, eig_sym(_assembled(problem)[1]))
+    return _kernel_report(problem, eig_sym(_associated(problem)))
 
 
 def _kernel_report(
@@ -332,11 +341,8 @@ def _kernel_report(
     ker_plus = _kernel_of(problem.weight_plus)
     ker_minus = _kernel_of(problem.weight_minus)
 
-    coupling = problem.coupling
-    ker_adjoint = nullspace(coupling @ coupling.conj().T)  # ker T* in plus space
-    ker_coupling = nullspace(coupling.conj().T @ coupling)  # ker T in minus space
-    annihilator_plus = _annihilator(problem.weight_plus, ker_adjoint)
-    annihilator_minus = _annihilator(problem.weight_minus, ker_coupling)
+    annihilator_plus = _annihilator(problem.weight_plus, problem.adjoint_kernel)
+    annihilator_minus = _annihilator(problem.weight_minus, problem.coupling_kernel)
 
     _definitional_cross_check(problem, annihilator_plus, annihilator_minus)
 

@@ -42,6 +42,14 @@ MALFORMED = {
     "tol_scale_zero": ({"tolerances": {"tol_scale": 0}}, []),
     "tol_scale_nan_string": ({"tolerances": {"tol_scale": "nan"}}, []),
     "seed_bool": ({"seed": True}, []),
+    "force_string_false": ({"force": "false"}, []),
+    "force_string_no": ({"force": "no"}, []),
+    "force_number": ({"force": 0}, []),
+    "force_null": ({"force": None}, []),
+    "family_size_bool": (
+        {"kind": "family", "matrices": {}, "family": {"name": "constant", "sizes": [True, 2]}},
+        [],
+    ),
     "flag_tol_scale_negative": ({}, ["--tol-scale=-1"]),
     "flag_tol_scale_zero": ({}, ["--tol-scale=0"]),
     "flag_tol_scale_nan": ({}, ["--tol-scale=nan"]),

@@ -13,11 +13,14 @@ from formrep import (
     form_evaluator,
     gen_random,
     kernel_via_theorem,
+    kernel_tol,
     make_involution,
     nullspace,
     offdiag_problem,
     op_norm,
+    principal_angle,
 )
+from formrep.spectral import random_orthogonal
 
 
 def random_problem(seed, dims=(4, 3), kernel_dims=(1, 1)):
@@ -25,6 +28,31 @@ def random_problem(seed, dims=(4, 3), kernel_dims=(1, 1)):
     return offdiag_problem(
         spec.matrices["A_plus"], spec.matrices["A_minus"], spec.matrices["T"]
     )
+
+
+#: The parity offdiag cases, a large square case and both rectangular orders;
+#: ``None`` as the seed means zero coupling.
+CLOSED_FORM_CASES = [((p, q), seed) for p, q in ((6, 5), (24, 20)) for seed in range(3)] + [
+    ((192, 192), 0),
+    ((5, 9), 1),
+    ((9, 5), 2),
+    ((7, 4), None),
+]
+
+
+def coupling_kernel_pairs(problem):
+    """``(basis, nullspace oracle)`` for ``ker T*`` and for ``ker T``."""
+    coupling = problem.coupling
+    return (
+        (problem.adjoint_kernel, nullspace(coupling @ coupling.T)),
+        (problem.coupling_kernel, nullspace(coupling.T @ coupling)),
+    )
+
+
+def similarity_route(problem):
+    """``G [[I, T], [T*, -I]] G - J`` with ``G = (A+I)^(1/2)``: B as an n x n similarity."""
+    root, signs = problem.shifted_root, problem.splitting().matrix
+    return root @ (signs + problem.full_coupling()) @ root - signs
 
 
 class TestCheckOffdiagonal:
@@ -119,6 +147,46 @@ class TestAssembleOffdiag:
     def test_rejects_bad_coupling_shape(self):
         with pytest.raises(MatrixValidationError):
             offdiag_problem(np.eye(2), np.eye(2), np.zeros((3, 2)))
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("dims, seed", CLOSED_FORM_CASES)
+    def test_matches_the_similarity_route(self, dims, seed):
+        problem = random_problem(seed or 0, dims=dims)
+        if seed is None:
+            problem = offdiag_problem(problem.diag_plus, problem.diag_minus, np.zeros(dims))
+        result = assemble_offdiag(problem)
+        operator = result.operator
+        assert np.array_equal(operator, operator.T)
+        assert np.array_equal(result.shifted_operator, operator + problem.splitting().matrix)
+        # Measured ||B - oracle|| / (n eps (1 + ||A||)(1 + ||T||)) on these cases: at most 1.01.
+        eps = np.finfo(np.float64).eps
+        weight_norm = np.linalg.norm(problem.full_weight(), 2)
+        scale = (1 + weight_norm) * (1 + np.linalg.norm(problem.coupling, 2))
+        bound = 4 * problem.dim * eps * scale
+        assert np.linalg.norm(operator - similarity_route(problem), 2) <= bound
+
+    @pytest.mark.parametrize("dims", [(5, 9), (9, 5), (8, 6), (6, 8), (7, 7), (12, 4)])
+    def test_coupling_kernels_match_nullspace_oracle(self, dims):
+        # Seeds 0..5 run every coupling mode (seed % 3) twice.
+        for seed in range(6):
+            problem = random_problem(seed, dims=dims, kernel_dims=(2, 1))
+            for basis, oracle in coupling_kernel_pairs(problem):
+                assert basis.dim == oracle.dim
+                assert principal_angle(basis, oracle) <= 1e-12
+
+    @pytest.mark.parametrize("factor, kernel_dim", [(0.5, 1), (2.0, 0)])
+    def test_coupling_kernel_threshold(self, factor, kernel_dim):
+        # The smallest singular value s has s^2 = factor * kernel_tol(n, s_max^2), s_max = 1.
+        n = 40
+        rng = np.random.default_rng(11)
+        values = np.linspace(1.0, 0.5, n)
+        values[-1] = np.sqrt(factor * kernel_tol(n, 1.0))
+        coupling = (random_orthogonal(n, rng) * values) @ random_orthogonal(n, rng).T
+        problem = offdiag_problem(np.eye(n), np.eye(n), coupling)
+        for basis, oracle in coupling_kernel_pairs(problem):
+            assert basis.dim == oracle.dim == kernel_dim
+            assert principal_angle(basis, oracle) <= 1e-12
 
 
 class TestDirectCoefficient:
