@@ -177,11 +177,11 @@ def spec_from_dict(raw: dict[str, Any]) -> ProblemSpec:
         if not isinstance(fam, dict) or "name" not in fam or "sizes" not in fam:
             raise SpecFormatError("kind family requires a family object with name and sizes")
         family_name = str(fam["name"])
-        if not isinstance(fam["sizes"], list) or not fam["sizes"] or not all(
-            type(s) is int and s >= 1 for s in fam["sizes"]
+        sizes = fam["sizes"]
+        if not isinstance(sizes, list) or not sizes or not all(
+            type(s) is int and s >= 1 for s in sizes
         ):
             raise SpecFormatError("family sizes must be a non-empty list of positive integers")
-        sizes = [int(s) for s in fam["sizes"]]
         if matrices_raw:
             raise SpecFormatError("kind family carries no matrices")
         matrices: dict[str, np.ndarray] = {}

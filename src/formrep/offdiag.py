@@ -6,16 +6,15 @@ splitting, and the perturbation ``v`` couples the two half-spaces only.
 Every such ``v`` is carried by a bounded matrix ``S = [[0, T], [T*, 0]]``
 through ``v[x, y] = <S (A+I)^(1/2) x, (A+I)^(1/2) y>``.
 
-The shifted coefficient collapses to ``[[I, T], [T*, -I]]``, so with
-``G_pm = (A_pm + I)^(1/2)`` the associated matrix is the closed form
-``B = [[A_plus, G_plus T G_minus], [G_minus T* G_plus, -A_minus]]``; its kernel is explicit:
+The shifted coefficient collapses to ``[[I, T], [T*, -I]]``, so with ``G_pm = (A_pm + I)^(1/2)``
+the associated matrix is ``B = [[A_plus, X], [X*, -A_minus]]``, ``X = G_plus T G_minus``, and
+its kernel is explicit:
 
     ker B = (ker A_plus  /\\  annihilator_plus)
         (+) (ker A_minus /\\  annihilator_minus)
 
-where the annihilators are the images of ker T* / ker T under
-``(A_pm + I)^(-1/2)``; both coupling kernels come from one SVD of ``T``.  An
-independent nullspace oracle cross-checks the formula on every instance.
+where the annihilators are the images of ker T* / ker T under ``(A_pm + I)^(-1/2)``; both coupling
+kernels come from one SVD of ``T``.  An independent nullspace oracle cross-checks every instance.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .spectral import (
     _sym_norm,
     apply_fn,
     eig_sym,
+    kernel_tol,
     min_abs_eig,
     op_norm,
     orthonormal_columns,
@@ -58,7 +58,7 @@ OFFDIAG_TOL = 1e-10
 class OffDiagonalProblem:
     """Validated data of an off-diagonal perturbation problem.
 
-    ``coupling_norm`` (the spectral norm of ``S``, never taken on trust from the caller),
+    ``coupling_norm`` is the spectral norm of ``S``, never taken on trust from the caller;
     ``adjoint_kernel`` (``ker T*``) and ``coupling_kernel`` (``ker T``) share one SVD of ``T``.
     ``weight_plus`` / ``weight_minus`` are the clamped block decompositions
     made while validating, ``weight`` the block-diagonal one assembled from
@@ -139,18 +139,19 @@ def offdiag_problem(
     coup = np.asarray(coupling, dtype=np.float64)
     if coup.ndim != 2 or coup.shape != (sym_plus.shape[0], sym_minus.shape[0]):
         raise MatrixValidationError(
-            f"coupling must be {sym_plus.shape[0]} x {sym_minus.shape[0]}, "
-            f"got {coup.shape}"
+            f"coupling must be {sym_plus.shape[0]} x {sym_minus.shape[0]}, got {coup.shape}"
         )
     if not np.isfinite(coup).all():
         raise MatrixValidationError("coupling contains NaN or Inf entries")
     p, q = weight_plus.n, weight_minus.n
-    # T = U diag(s) V*: U and V are eigenvectors of T T* and T* T, eigenvalues s^2 zero-padded.
+    # T = U diag(s) V*: ker T* / ker T keep the columns of U / V where s^2, zero-padded, passes
+    # kernel_tol(p / q, s_max^2), the nullspace threshold on the eigenvalues of T T* / T* T.
     left, values, right_h = np.linalg.svd(coup)
     squares = np.pad(values**2, (0, abs(p - q)))
-    adjoint_kernel = _kernel_of(SpectralDecomposition(squares[:p], left, squares[0]))
-    coupling_kernel = _kernel_of(SpectralDecomposition(squares[:q], right_h.T, squares[0]))
+    adjoint_kernel = SubspaceBasis(left[:, squares[:p] <= kernel_tol(p, squares[0])])
+    coupling_kernel = SubspaceBasis(right_h.T[:, squares[:q] <= kernel_tol(q, squares[0])])
     del left, right_h  # free U and V* before the n x n weight arrays: no hole left in the heap
+    norm = float(np.linalg.norm(coup, 2))  # the SVD work formbench's tracer counts
     vals = np.concatenate([weight_plus.eigenvalues, weight_minus.eigenvalues])
     vecs = np.zeros((vals.size, vals.size))
     vecs[:p, :p] = weight_plus.eigenvectors
@@ -162,7 +163,7 @@ def offdiag_problem(
         diag_plus=sym_plus,
         diag_minus=sym_minus,
         coupling=coup,
-        coupling_norm=float(values[0]),
+        coupling_norm=norm,
         adjoint_kernel=adjoint_kernel,
         coupling_kernel=coupling_kernel,
         weight_plus=weight_plus,
@@ -241,9 +242,7 @@ def _associated(problem: OffDiagonalProblem) -> np.ndarray:
     return operator
 
 
-def assemble_offdiag(
-    problem: OffDiagonalProblem, probe_seed: int = 0
-) -> RepresentationResult:
+def assemble_offdiag(problem: OffDiagonalProblem, probe_seed: int = 0) -> RepresentationResult:
     """Associated matrix for the off-diagonal form.
 
     Builds ``B = (A+I)^(1/2) [[I, T], [T*, -I]] (A+I)^(1/2) - J`` as the closed form
@@ -278,9 +277,7 @@ def assemble_offdiag(
     )
 
 
-def direct_coefficient(
-    problem: OffDiagonalProblem, verify: bool = True
-) -> np.ndarray:
+def direct_coefficient(problem: OffDiagonalProblem, verify: bool = True) -> np.ndarray:
     """Bounded middle factor representing the associated matrix directly.
 
     Returns ``[[I - (A_plus + I)^-1, T], [T*, -I + (A_minus + I)^-1]]``,
@@ -332,9 +329,7 @@ def kernel_via_theorem(problem: OffDiagonalProblem) -> KernelReport:
     return _kernel_report(problem, eig_sym(_associated(problem)))
 
 
-def _kernel_report(
-    problem: OffDiagonalProblem, decomp: SpectralDecomposition
-) -> KernelReport:
+def _kernel_report(problem: OffDiagonalProblem, decomp: SpectralDecomposition) -> KernelReport:
     """``kernel_via_theorem`` with the oracle taken from the decomposition
     ``decomp`` of the assembled matrix."""
     p, q = problem.dim_plus, problem.dim_minus
