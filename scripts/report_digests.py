@@ -1,0 +1,91 @@
+"""SHA-256 digests of ``harness.run`` reports over a fixed list of problems.
+
+Each case is a seeded problem; its digest is taken over the report as JSON
+(``Report.to_dict()`` without ``wall_time_s``, keys sorted), so two trees
+whose reports agree bit for bit print the same digests.  The cases are the
+parity problems of ``tests/test_parity.py`` (``PARITY_CASES``), general
+n=384 and offdiag p=q=192 with kernel dimensions (3, 2) (the benchmark's
+shapes, spec seeds ``LARGE_SEEDS``), ``gen_counterexample(3)`` forced and
+refused, and both families at sizes ``FAMILY_SIZES``.  The JSON written to
+``--out`` (or standard output) maps each case to its digest.
+
+    python3 scripts/report_digests.py --out digests.json
+
+formrep is imported from the ``src`` directory of the checkout that holds
+this script, so a copy of the script measures the tree it is copied into.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PARITY_CASES = [("general", n, seed) for n in (5, 24, 64) for seed in range(4)] + [
+    ("offdiag", dims, seed) for dims in ((6, 5), (24, 20)) for seed in range(3)
+]
+LARGE_SEEDS = (0, 1, 2)
+GENERAL_N = 384
+OFFDIAG_DIMS = (192, 192)
+OFFDIAG_KERNEL_DIMS = (3, 2)
+COUNTEREXAMPLE_SIZE = 3
+FAMILY_SIZES = [1, 2, 3, 4, 5, 6]
+
+
+def cases() -> dict:
+    """Case label -> a function building its ``ProblemSpec``."""
+    from formrep import ProblemSpec, gen_counterexample, gen_random
+
+    def counterexample(force: bool):
+        spec = gen_counterexample(COUNTEREXAMPLE_SIZE)
+        spec.force = force
+        return spec
+
+    out = {}
+    for kind, shape, seed in PARITY_CASES:
+        label = f"{kind}-{shape}" if kind == "general" else f"{kind}-{shape[0]}x{shape[1]}"
+        out[f"parity-{label}-{seed}"] = lambda k=kind, s=shape, r=seed: gen_random(k, s, r)
+    for seed in LARGE_SEEDS:
+        out[f"general-{GENERAL_N}-{seed}"] = lambda r=seed: gen_random("general", GENERAL_N, r)
+        out[f"offdiag-{OFFDIAG_DIMS[0]}x{OFFDIAG_DIMS[1]}-{seed}"] = lambda r=seed: gen_random(
+            "offdiag", OFFDIAG_DIMS, r, kernel_dims=OFFDIAG_KERNEL_DIMS
+        )
+    for force in (True, False):
+        label = "forced" if force else "refused"
+        out[f"counterexample-{COUNTEREXAMPLE_SIZE}-{label}"] = lambda f=force: counterexample(f)
+    for name in ("counterexample", "constant"):
+        out[f"family-{name}"] = lambda n=name: ProblemSpec(
+            kind="family", family_name=n, sizes=list(FAMILY_SIZES)
+        )
+    return out
+
+
+def digest(report) -> str:
+    body = report.to_dict()
+    del body["wall_time_s"]
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(SRC))
+    from formrep import run
+
+    digests = {label: digest(run(build())) for label, build in cases().items()}
+    text = json.dumps(digests, indent=1)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    else:
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,13 +33,14 @@ from .errors import (
 from .involution import Involution, block_decompose, commutes
 from .spectral import (
     SpectralDecomposition,
+    _eigh,
+    _hermitian,
+    _min_abs,
     _norm2_above,
     _signum,
+    _sym_norm,
     apply_fn,
-    eig_sym,
     kernel_tol,
-    min_abs_eig,
-    op_norm,
     symmetrize,
 )
 
@@ -106,13 +107,13 @@ class RepresentationResult:
     decomposition: SpectralDecomposition
 
 
-def _clamped_weight(mat: np.ndarray) -> SpectralDecomposition:
-    """Spectral decomposition of the weight with small negatives clamped to 0.
+def _clamped_weight(sym: np.ndarray) -> SpectralDecomposition:
+    """Spectral decomposition of a validated weight with small negatives clamped to 0.
 
     Eigenvalues in ``[-tau, 0)`` are numerical noise and are set to zero
     (the clamp magnitude is logged); anything below ``-tau`` is rejected.
     """
-    decomp = eig_sym(mat)
+    decomp = _eigh(sym)
     tau = kernel_tol(decomp.n, decomp.source_norm)
     lowest = float(decomp.eigenvalues[0])
     if lowest < -tau:
@@ -131,7 +132,7 @@ def _clamped_weight(mat: np.ndarray) -> SpectralDecomposition:
 
 def weight_sqrt(mat: np.ndarray) -> np.ndarray:
     """``A^(1/2)`` for a PSD weight, after clamping."""
-    return apply_fn(_clamped_weight(mat), np.sqrt)
+    return apply_fn(_clamped_weight(symmetrize(mat, "weight")), np.sqrt)
 
 
 def default_probes(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +218,8 @@ def shifted_coefficient(
     ``R H R + (A + I)^(-1) J``.  The shifted coefficient is the bounded
     middle factor of ``B + J`` with respect to ``(A + I)^(1/2)``.
     """
-    return _shifted_pair(_clamped_weight(mat_a), symmetrize(mat_h, "coefficient"), inv)
+    weight = _clamped_weight(symmetrize(mat_a, "weight"))
+    return _shifted_pair(weight, symmetrize(mat_h, "coefficient"), inv)
 
 
 def _shifted_pair(
@@ -226,10 +228,7 @@ def _shifted_pair(
     contraction = apply_fn(weight, lambda lam: np.sqrt(lam / (1.0 + lam)))
     resolvent_at_one = apply_fn(weight, lambda lam: 1.0 / (1.0 + lam))
     compressed = contraction @ sym_h @ contraction
-    shifted = compressed + resolvent_at_one @ inv.matrix
-    return symmetrize(compressed, "compressed coefficient"), symmetrize(
-        shifted, "shifted coefficient"
-    )
+    return _hermitian(compressed), _hermitian(compressed + resolvent_at_one @ inv.matrix)
 
 
 def _pairing(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -284,7 +283,7 @@ def _standalone(
         probes = (np.array([x for x, _ in probes]).T, np.array([y for _, y in probes]).T)
     return _probe_residuals(
         default_probes(sym_a.shape[0], seed=seed) if probes is None else probes,
-        (1.0 + weight.source_norm) * max(op_norm(sym_h), 1e-300),
+        (1.0 + weight.source_norm) * max(_sym_norm(sym_h), 1e-300),
         lambda xs, ys: _pairing(root @ xs, sym_h @ (root @ ys)),
         side,
     )[0]
@@ -320,7 +319,7 @@ def second_rep_residual(
     inside the kernel threshold to 0.
     """
     sym_b = symmetrize(operator, "operator")
-    return _standalone(mat_a, mat_h, probes, seed, _represented_side(eig_sym(sym_b)))
+    return _standalone(mat_a, mat_h, probes, seed, _represented_side(_eigh(sym_b)))
 
 
 def associate_general(
@@ -356,7 +355,7 @@ def associate_general(
         )
     root = apply_fn(weight, np.sqrt)
     shifted_root = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
-    operator = symmetrize(root @ sym_h @ root, "associated matrix")
+    operator = _hermitian(root @ sym_h @ root)
     compressed, shifted = _shifted_pair(weight, sym_h, inv)
     via_shifted = shifted_root @ shifted @ shifted_root
     scale = (1.0 + weight.source_norm) * max(float(np.max(np.abs(h_vals))), 1e-300)
@@ -366,7 +365,7 @@ def associate_general(
             f"assembly routes disagree: ||(B~ - J) - B|| = {route_gap:.3e} "
             f"exceeds {1e-10 * scale:.3e}"
         )
-    decomp = eig_sym(operator)
+    decomp = _eigh(operator)
     first, second = _probe_residuals(
         default_probes(sym_a.shape[0], seed=probe_seed),
         scale,
@@ -379,7 +378,7 @@ def associate_general(
         shifted_operator=operator + inv.matrix,
         compressed_coefficient=compressed,
         shifted_coefficient=shifted,
-        gap_radius=min_abs_eig(shifted),
+        gap_radius=_min_abs(shifted),
         first_rep_residual=first,
         second_rep_residual=second,
         certificate=certificate,
@@ -395,5 +394,4 @@ def gap_certificate_check(result: RepresentationResult, inv: Involution) -> floa
     Returns ``min |eig(B + J)| - gap_radius``; the construction guarantees
     this is nonnegative up to rounding for certified results.
     """
-    shifted = result.operator + inv.matrix
-    return float(min_abs_eig(shifted) - result.gap_radius)
+    return _min_abs(result.operator + inv.matrix) - result.gap_radius

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -31,8 +30,6 @@ from .involution import make_involution
 from .offdiag import _kernel_report, _verify_direct, assemble_offdiag, offdiag_problem
 from .spectral import random_orthogonal
 from .stability import _stability, family_diagnostics
-
-logger = logging.getLogger(__name__)
 
 _KINDS = ("general", "offdiag", "family")
 _REQUIRED_MATRICES = {"general": ("A", "H", "J"), "offdiag": ("A_plus", "A_minus", "T")}
@@ -199,13 +196,6 @@ def spec_from_dict(raw: dict[str, Any]) -> ProblemSpec:
             name: _strings_to_matrix(matrices_raw[name], name) for name in required
         }
         _validate_dimensions(kind, matrices)
-        for name in required:
-            if name in _SQUARE_SYMMETRIC:
-                mat = matrices[name]
-                asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-                if asym > 0.0:
-                    logger.info("symmetrizing %s: max asymmetry %.3e", name, asym)
-                matrices[name] = (mat + mat.T) / 2.0
 
     return ProblemSpec(
         kind=kind,

@@ -20,7 +20,15 @@ from .errors import (
     MatrixValidationError,
     TrivialInvolutionError,
 )
-from .spectral import SubspaceBasis, _gram_norm, _norm2_above, eig_sym, op_norm, symmetrize
+from .spectral import (
+    SubspaceBasis,
+    _eigh,
+    _gram_norm,
+    _hermitian,
+    _norm2_above,
+    _sym_norm,
+    symmetrize,
+)
 
 #: Guard for the 2^n diagonal enumeration.
 MAX_ENUMERATION_DIM = 24
@@ -35,21 +43,29 @@ _EPS_FLOOR = float(np.finfo(np.float64).tiny)
 class Involution:
     """A validated self-adjoint involution with its spectral splitting.
 
-    ``projector_plus = (I + J)/2`` and ``projector_minus = I - projector_plus``
-    project onto the +1 / -1 eigenspaces, whose orthonormal bases are stored
-    in ``plus_basis`` / ``minus_basis`` (ordered by the spectral-core sign
-    convention so block coordinates are deterministic).
+    ``projector_plus`` / ``projector_minus`` project onto the +1 / -1
+    eigenspaces, whose orthonormal bases are stored in ``plus_basis`` /
+    ``minus_basis`` (ordered by the spectral-core sign convention so block
+    coordinates are deterministic).
     """
 
     matrix: np.ndarray
-    projector_plus: np.ndarray
-    projector_minus: np.ndarray
     plus_basis: SubspaceBasis
     minus_basis: SubspaceBasis
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def projector_plus(self) -> np.ndarray:
+        """``(I + J) / 2``, formed on each access."""
+        return (np.eye(self.n, dtype=self.matrix.dtype) + self.matrix) / 2.0
+
+    @property
+    def projector_minus(self) -> np.ndarray:
+        """``I - projector_plus``, formed on each access."""
+        return np.eye(self.n, dtype=self.matrix.dtype) - self.projector_plus
 
     @property
     def dim_plus(self) -> int:
@@ -101,18 +117,15 @@ def make_involution(mat: np.ndarray) -> Involution:
         raise InvolutionError(
             f"not an involution: ||J^2 - I|| = {square_defect:.3e} exceeds {1e-12 * n:.1e}"
         )
-    decomp = eig_sym(sym)
+    decomp = _eigh(sym)
     plus_mask = decomp.eigenvalues > 0.0
     dim_plus = int(np.count_nonzero(plus_mask))
     if dim_plus == 0 or dim_plus == n:
         raise TrivialInvolutionError(
             "trivial involution: J equals +I or -I, both eigenvalues must be present"
         )
-    projector_plus = (eye + sym) / 2.0
     return Involution(
         matrix=sym,
-        projector_plus=projector_plus,
-        projector_minus=eye - projector_plus,
         plus_basis=SubspaceBasis(decomp.eigenvectors[:, plus_mask]),
         minus_basis=SubspaceBasis(decomp.eigenvectors[:, ~plus_mask]),
     )
@@ -133,7 +146,7 @@ def commutes(
     residual = _gram_norm(inv.matrix @ sym - sym @ inv.matrix)
     # max |M_ij| <= ||M||, so the entry bound settles most verdicts without an eigensolve.
     ok = residual <= tol * max(float(np.max(np.abs(sym))), _EPS_FLOOR) or (
-        residual <= tol * max(op_norm(sym), _EPS_FLOOR)
+        residual <= tol * max(_sym_norm(sym), _EPS_FLOOR)
     )
     return ok, residual
 
@@ -148,11 +161,9 @@ def block_decompose(mat: np.ndarray, inv: Involution) -> BlockDecomposition:
     frame = inv.half_space_frame()
     coords = frame.conj().T @ sym @ frame
     p = inv.dim_plus
-    plus_block = symmetrize(coords[:p, :p], "plus block")
-    minus_block = symmetrize(coords[p:, p:], "minus block")
     return BlockDecomposition(
-        plus_block=plus_block,
-        minus_block=minus_block,
+        plus_block=_hermitian(coords[:p, :p]),
+        minus_block=_hermitian(coords[p:, p:]),
         coupling=coords[:p, p:].copy(),
     )
 
@@ -164,16 +175,11 @@ def _diagonal_involution(signs: np.ndarray) -> Involution:
     ascending index order inside each eigenspace (the same order the
     spectral sign convention produces for diagonal matrices).
     """
-    n = signs.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(signs.shape[0])
     plus_idx = np.flatnonzero(signs > 0)
     minus_idx = np.flatnonzero(signs < 0)
-    mat = np.diag(signs.astype(np.float64))
-    projector_plus = np.diag((signs > 0).astype(np.float64))
     return Involution(
-        matrix=mat,
-        projector_plus=projector_plus,
-        projector_minus=eye - projector_plus,
+        matrix=np.diag(signs.astype(np.float64)),
         plus_basis=SubspaceBasis(eye[:, plus_idx]),
         minus_basis=SubspaceBasis(eye[:, minus_idx]),
     )

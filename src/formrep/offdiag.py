@@ -37,14 +37,13 @@ from .involution import Involution, canonical_involution
 from .spectral import (
     SpectralDecomposition,
     SubspaceBasis,
+    _eigh,
     _kernel_of,
+    _min_abs,
     _norm2_above,
     _sym_norm,
     apply_fn,
-    eig_sym,
     kernel_tol,
-    min_abs_eig,
-    op_norm,
     orthonormal_columns,
     principal_angle,
     subspace_intersection,
@@ -193,7 +192,7 @@ def check_offdiagonal(
     proj_m = inv.projector_minus
     residual = max(_sym_norm(proj_p @ sym @ proj_p), _sym_norm(proj_m @ sym @ proj_m))
     anti = _sym_norm(inv.matrix @ sym + sym @ inv.matrix)
-    norm = op_norm(sym)
+    norm = _sym_norm(sym)
     if abs(anti - 2.0 * residual) > 1e-8 * max(norm, 1.0):
         raise InternalCheckError(
             f"off-diagonality cross-check disagrees: anticommutator {anti:.3e} "
@@ -252,7 +251,7 @@ def assemble_offdiag(problem: OffDiagonalProblem, probe_seed: int = 0) -> Repres
     """
     shifted_coeff = shifted_block_coefficient(problem)
     operator = _associated(problem)
-    decomp = eig_sym(operator)
+    decomp = _eigh(operator)
     first, second = _probe_residuals(
         default_probes(problem.dim, seed=probe_seed),
         _form_scale(problem),
@@ -265,7 +264,7 @@ def assemble_offdiag(problem: OffDiagonalProblem, probe_seed: int = 0) -> Repres
         shifted_operator=operator + problem.splitting().matrix,
         compressed_coefficient=direct_coefficient(problem, verify=False),
         shifted_coefficient=shifted_coeff,
-        gap_radius=min_abs_eig(shifted_coeff),
+        gap_radius=_min_abs(shifted_coeff),
         first_rep_residual=first,
         second_rep_residual=second,
         certificate=GapCertificate(
@@ -326,7 +325,7 @@ def kernel_via_theorem(problem: OffDiagonalProblem) -> KernelReport:
     both bases, the largest principal angle between them, and a dimension
     comparison.
     """
-    return _kernel_report(problem, eig_sym(_associated(problem)))
+    return _kernel_report(problem, _eigh(_associated(problem)))
 
 
 def _kernel_report(problem: OffDiagonalProblem, decomp: SpectralDecomposition) -> KernelReport:

@@ -7,6 +7,8 @@ policy, operator norms, and small subspace utilities (orthonormalisation,
 intersections, principal angles).
 
 All routines are pure functions over immutable values; no shared state.
+Public routines validate each matrix argument with ``symmetrize``; the private
+cores (``_eigh``, ``_min_abs``, ``_sym_norm``, ``_hermitian``) validate nothing.
 """
 
 from __future__ import annotations
@@ -69,8 +71,7 @@ def symmetrize(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise MatrixValidationError(f"{name} contains NaN or Inf entries")
     arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
-    herm = arr.conj().T
-    asym = float(np.max(np.abs(arr - herm)))
+    asym = float(np.max(np.abs(arr - arr.conj().T)))
     # max |M_ij| <= ||M||, so the entry bound accepts most inputs without an SVD.
     if asym > SYMMETRY_SLACK * EPS * max(float(np.max(np.abs(arr))), 1.0):
         bound = SYMMETRY_SLACK * EPS * max(float(np.linalg.norm(arr, 2)), 1.0)
@@ -78,7 +79,13 @@ def symmetrize(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
             raise MatrixValidationError(
                 f"{name} is not self-adjoint: asymmetry {asym:.3e} exceeds {bound:.3e}"
             )
-    return (arr + herm) / 2.0
+    return _hermitian(arr)
+
+
+def _hermitian(mat: np.ndarray) -> np.ndarray:
+    """``(M + M*) / 2``, exactly self-adjoint: ``symmetrize`` without the validation, for
+    products the library forms that are self-adjoint up to rounding."""
+    return (mat + mat.conj().T) / 2.0
 
 
 def _gram_norm(mat: np.ndarray) -> float:
@@ -101,10 +108,15 @@ def _norm2_above(mat: np.ndarray, bound: float) -> float | None:
 
 
 def _sym_norm(mat: np.ndarray) -> float:
-    """``max |eig|`` of a product that is symmetric by construction.  ``eigvalsh``
-    reads one triangle: unlike ``op_norm``, nothing validates or removes the
-    product's rounding-level asymmetry, which never costs an SVD or raises."""
+    """``op_norm`` of a matrix that is symmetric by construction.  ``eigvalsh``
+    reads one triangle: nothing validates or removes the matrix's rounding-level
+    asymmetry, which never costs an SVD or raises."""
     return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+
+
+def _min_abs(mat: np.ndarray) -> float:
+    """``min_abs_eig`` of a matrix that is symmetric by construction, unvalidated."""
+    return float(np.min(np.abs(np.linalg.eigvalsh(mat))))
 
 
 @dataclass(frozen=True)
@@ -196,12 +208,15 @@ def eig_sym(mat: np.ndarray) -> SpectralDecomposition:
         Ascending eigenvalues, orthonormal eigenvectors with the
         deterministic sign convention, and the spectral norm.
     """
-    sym = symmetrize(mat)
-    vals, vecs = np.linalg.eigh(sym)
-    vecs = _fix_column_phases(vecs)
+    return _eigh(symmetrize(mat))
+
+
+def _eigh(mat: np.ndarray) -> SpectralDecomposition:
+    """``eig_sym`` of a matrix that is exactly self-adjoint already, unvalidated."""
+    vals, vecs = np.linalg.eigh(mat)
     return SpectralDecomposition(
         eigenvalues=vals,
-        eigenvectors=vecs,
+        eigenvectors=_fix_column_phases(vecs),
         source_norm=float(np.max(np.abs(vals))) if vals.size else 0.0,
     )
 
@@ -235,8 +250,7 @@ def _spectral_map(decomp: SpectralDecomposition, values: np.ndarray) -> np.ndarr
             f"function returned non-finite value {val!r} at eigenvalue {lam!r}"
         )
     vecs = decomp.eigenvectors
-    out = (vecs * values) @ vecs.conj().T
-    return (out + out.conj().T) / 2.0
+    return _hermitian((vecs * values) @ vecs.conj().T)
 
 
 def _signum(decomp: SpectralDecomposition, zero: float) -> Callable:
@@ -250,45 +264,30 @@ def matrix_function(mat: np.ndarray, fn: Callable[[float], float]) -> np.ndarray
     return apply_fn(eig_sym(mat), fn)
 
 
-TolPolicy = Callable[[int, float], float]
-
-
-def _resolve_tol(n: int, norm: float, tol_policy: TolPolicy | float | None) -> float:
-    if tol_policy is None:
-        return kernel_tol(n, norm)
-    if callable(tol_policy):
-        return float(tol_policy(n, norm))
-    return float(tol_policy)
-
-
-def nullspace(
-    mat: np.ndarray, tol_policy: TolPolicy | float | None = None
-) -> SubspaceBasis:
+def nullspace(mat: np.ndarray, tol_policy: float | None = None) -> SubspaceBasis:
     """Orthonormal basis of the numerical kernel of a self-adjoint matrix.
 
     The kernel is the span of eigenvectors whose eigenvalue magnitude is at
-    most ``tau``, where ``tau = tol_policy(n, ||M||)`` (default policy
-    ``kernel_tol``).  An empty basis is a valid result.
+    most ``tau``: ``tol_policy`` if given, else ``kernel_tol(n, ||M||)``.
+    An empty basis is a valid result.
     """
     return _kernel_of(eig_sym(mat), tol_policy)
 
 
-def _kernel_of(
-    decomp: SpectralDecomposition, tol_policy: TolPolicy | float | None = None
-) -> SubspaceBasis:
+def _kernel_of(decomp: SpectralDecomposition, tol_policy: float | None = None) -> SubspaceBasis:
     """``nullspace`` of the matrix that ``decomp`` decomposes."""
-    tau = _resolve_tol(decomp.n, decomp.source_norm, tol_policy)
+    tau = kernel_tol(decomp.n, decomp.source_norm) if tol_policy is None else float(tol_policy)
     return SubspaceBasis(decomp.eigenvectors[:, np.abs(decomp.eigenvalues) <= tau])
 
 
 def op_norm(mat: np.ndarray) -> float:
     """Spectral norm ``max |eigenvalue|`` of a self-adjoint matrix."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(symmetrize(mat)))))
+    return _sym_norm(symmetrize(mat))
 
 
 def min_abs_eig(mat: np.ndarray) -> float:
     """Smallest eigenvalue magnitude of a self-adjoint matrix."""
-    return float(np.min(np.abs(np.linalg.eigvalsh(symmetrize(mat)))))
+    return _min_abs(symmetrize(mat))
 
 
 def resolvent_identity_residual(
@@ -356,7 +355,7 @@ def orthonormal_columns(vectors: np.ndarray, tol: float | None = None) -> Subspa
 
 
 def subspace_intersection(
-    first: SubspaceBasis, second: SubspaceBasis, tol_policy: TolPolicy | float | None = None
+    first: SubspaceBasis, second: SubspaceBasis, tol_policy: float | None = None
 ) -> SubspaceBasis:
     """Intersection of two subspaces of a common ambient space.
 
@@ -376,7 +375,7 @@ def subspace_intersection(
     # The defect operator has norm <= 2; use an absolute threshold tied to it.
     if tol_policy is None:
         tol_policy = kernel_tol(n, 2.0, scale=8.0)
-    return nullspace(gram, tol_policy)
+    return _kernel_of(_eigh(_hermitian(gram)), tol_policy)
 
 
 def principal_angle(first: SubspaceBasis, second: SubspaceBasis) -> float:

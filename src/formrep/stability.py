@@ -25,7 +25,10 @@ from .general import _clamped_weight, check_gap_hypothesis
 from .involution import Involution, enumerate_diagonal_involutions
 from .spectral import (
     SpectralDecomposition,
+    _eigh,
     _gram_norm,
+    _hermitian,
+    _min_abs,
     _norm2_above,
     _signum,
     _spectral_map,
@@ -33,8 +36,6 @@ from .spectral import (
     apply_fn,
     eig_sym,
     kernel_tol,
-    min_abs_eig,
-    op_norm,
     symmetrize,
 )
 
@@ -93,7 +94,11 @@ def sgn_matrix(mat: np.ndarray, zero_sign: int = 1) -> np.ndarray:
     ``zero_sign`` is immaterial.
     """
     s = _validate_zero_sign(zero_sign)
-    decomp = eig_sym(mat)
+    return _sign_of(eig_sym(mat), s)
+
+
+def _sign_of(decomp: SpectralDecomposition, s: int) -> np.ndarray:
+    """``sgn_matrix`` of the matrix that ``decomp`` decomposes."""
     return _spectral_map(decomp, _signum(decomp, float(s))(decomp.eigenvalues))
 
 
@@ -117,7 +122,7 @@ def stability_suite(
         raise FormrepError(
             f"dimension mismatch: weight {sym_a.shape[0]}, operator {sym_b.shape[0]}"
         )
-    return _stability(_clamped_weight(sym_a), sym_b, eig_sym(sym_b), s)
+    return _stability(_clamped_weight(sym_a), sym_b, _eigh(sym_b), s)
 
 
 def _stability(
@@ -133,7 +138,7 @@ def _stability(
     lam = decomp.eigenvalues
     signs = _signum(decomp, float(s))(lam)
     shifted = sym_b + _spectral_map(decomp, signs)
-    shifted_gap = min_abs_eig(shifted)
+    shifted_gap = _min_abs(shifted)
     if shifted_gap < 1.0 - 1e-10:
         raise InternalCheckError(
             f"shifted matrix lost its unit gap: min |eig(B + sgn B)| = {shifted_gap!r}"
@@ -211,7 +216,8 @@ def sufficient_definite(
     tau = kernel_tol(sym_h.shape[0], float(np.max(np.abs(vals), initial=0.0)))
     for sign, definite in ((1, vals[0] > tau), (-1, vals[-1] < -tau)):
         if definite:
-            defect = _norm2_above(sgn_matrix(sym_b, sign) - sign * np.eye(sym_b.shape[0]), 1e-10)
+            sign_b = _sign_of(_eigh(sym_b), sign)
+            defect = _norm2_above(sign_b - sign * np.eye(sym_b.shape[0]), 1e-10)
             if defect is not None:
                 raise InternalCheckError(
                     f"{'positive' if sign > 0 else 'negative'} coefficient but sign is not "
@@ -246,7 +252,7 @@ def sufficient_semibounded(
     tau_inverse = kernel_tol(n, 1.0 / max(min(np.abs(shifted_vals)), 1e-300))
     invertible = bool(min(np.abs(shifted_vals)) > kernel_tol(n, shifted_norm))
 
-    c = op_norm(sym_b) + 1.0
+    c = _sym_norm(sym_b) + 1.0
     for _ in range(max_doublings):
         candidate_vals = np.linalg.eigvalsh(sym_coeff + c * resolvent_at_one)
         tau_pos = kernel_tol(n, float(np.max(np.abs(candidate_vals))))
@@ -353,8 +359,8 @@ def family_diagnostics(
         outcomes.append(any_certified)
 
         root = apply_fn(weight, np.sqrt)
-        operator = symmetrize(root @ sym_h @ root, "family operator")
-        decomp = eig_sym(operator)
+        operator = _hermitian(root @ sym_h @ root)
+        decomp = _eigh(operator)
         report = _stability(weight, operator, decomp, s)
 
         grow = np.sqrt(1.0 + weight.eigenvalues)  # (A+I)^(1/2) H (A+I)^(-1/2) in the eigenbasis

@@ -2,10 +2,11 @@
 
 Counts the dense factorizations numpy performs during one ``harness.run``.
 ``numpy.linalg.norm(M, 2)`` takes its SVD through the ``svd`` of the module
-that defines it, so that module's binding is counted too.  ``apply_fn`` is
-counted wherever a formrep module binds it.  A helper that decomposes a
-matrix the run has already decomposed, or takes an SVD where a symmetric
-eigensolve or a Frobenius norm decides, raises a count here.
+that defines it, so that module's binding is counted too.  ``apply_fn`` and
+``symmetrize`` are counted wherever a formrep module binds them.  A helper
+that decomposes a matrix the run has already decomposed, takes an SVD where
+a symmetric eigensolve or a Frobenius norm decides, or validates a matrix
+that was validated or built already, raises a count here.
 """
 
 import collections
@@ -43,14 +44,24 @@ from formrep.stability import _stability
 #: are the unit gap, three symmetric norms and three Gram matrices.
 #: ``(A+I)^(1/2)`` is mapped once per offdiag problem, and the second
 #: representation residual is read in the eigenbasis of ``B`` with no map.
+#: ``symmetrize`` validates each input matrix where it enters: ``J``, ``A``
+#: and ``H`` of a general run, plus ``A`` again in ``commutes`` and ``H`` in
+#: ``block_decompose``; the two weight blocks of an offdiag run.  Matrices the
+#: library builds are averaged, if at all, without validation.
 CASES = {
     "general": (
         ("general", 16, 3),
-        {"eigh": 3, "eigvalsh": 13, "svd": 0, "apply_fn": 4, "assemble_offdiag": 0},
+        {
+            "eigh": 3, "eigvalsh": 13, "svd": 0, "apply_fn": 4, "symmetrize": 5,
+            "assemble_offdiag": 0,
+        },
     ),
     "offdiag": (
         ("offdiag", (6, 5), 1, 0.5, (2, 1)),
-        {"eigh": 5, "eigvalsh": 8, "svd": 6, "apply_fn": 6, "assemble_offdiag": 1},
+        {
+            "eigh": 5, "eigvalsh": 8, "svd": 6, "apply_fn": 6, "symmetrize": 2,
+            "assemble_offdiag": 1,
+        },
     ),
 }
 
@@ -74,6 +85,9 @@ def counts(monkeypatch):
     counted_apply = counted("apply_fn", spectral.apply_fn)
     for module in ("spectral", "general", "offdiag", "stability"):
         monkeypatch.setattr(f"formrep.{module}.apply_fn", counted_apply)
+    counted_symmetrize = counted("symmetrize", spectral.symmetrize)
+    for module in ("spectral", "involution", "general", "offdiag", "stability"):
+        monkeypatch.setattr(f"formrep.{module}.symmetrize", counted_symmetrize)
     monkeypatch.setattr(
         harness, "assemble_offdiag", counted("assemble_offdiag", harness.assemble_offdiag)
     )

@@ -53,6 +53,21 @@ MALFORMED = {
     "flag_tol_scale_negative": ({}, ["--tol-scale=-1"]),
     "flag_tol_scale_zero": ({}, ["--tol-scale=0"]),
     "flag_tol_scale_nan": ({}, ["--tol-scale=nan"]),
+    "asymmetric_H": (
+        {"matrices": {**MINIMAL_GENERAL["matrices"], "H": [["2", "0.6"], ["0.4", "-3"]]}},
+        [],
+    ),
+    "asymmetric_A_plus": (
+        {
+            "kind": "offdiag",
+            "matrices": {
+                "A_plus": [["1", "0.6"], ["0.4", "1"]],
+                "A_minus": [["1"]],
+                "T": [["1"], ["0"]],
+            },
+        },
+        [],
+    ),
 }
 
 
@@ -118,11 +133,20 @@ class TestLoadSpec:
         with pytest.raises(SpecFormatError, match="non-numeric"):
             load_spec(write_json(tmp_path, payload))
 
-    def test_asymmetric_input_symmetrized(self, tmp_path):
+    def test_one_ulp_asymmetry_loads_as_written(self, tmp_path):
+        # (0.5 + (0.5 + ulp)) / 2 rounds to 0.5: the library averages H to its twin once.
+        above = float(np.nextafter(0.5, 1.0))
         payload = json.loads(json.dumps(MINIMAL_GENERAL))
-        payload["matrices"]["H"] = [["2", "0.6"], ["0.4", "-3"]]
-        spec = load_spec(write_json(tmp_path, payload))
-        np.testing.assert_allclose(spec.matrices["H"], [[2.0, 0.5], [0.5, -3.0]])
+        payload["matrices"]["H"][1][0] = format(above, ".17g")
+        spec = load_spec(write_json(tmp_path, payload, "ulp.json"))
+        twin = load_spec(write_json(tmp_path, MINIMAL_GENERAL, "twin.json"))
+        assert spec.matrices["H"][1, 0] == above and spec.matrices["H"][0, 1] == 0.5
+        report, twin_report = run(spec).to_dict(), run(twin).to_dict()
+        del report["wall_time_s"], twin_report["wall_time_s"]
+        digest = report["spec_echo"]["matrices"].pop("H")
+        twin_digest = twin_report["spec_echo"]["matrices"].pop("H")
+        assert digest["sha256"] != twin_digest["sha256"]
+        assert report == twin_report and report["passed"]
 
     def test_missing_file(self):
         with pytest.raises(SpecFormatError, match="not found"):

@@ -13,18 +13,28 @@ from formrep import (
     SpectralDomainError,
     SubspaceBasis,
     apply_fn,
+    associate_general,
+    canonical_involution,
+    check_gap_hypothesis,
     eig_sym,
+    first_rep_residual,
     kernel_tol,
     make_involution,
     matrix_function,
     min_abs_eig,
     nullspace,
+    offdiag_problem,
     op_norm,
     orthonormal_columns,
     principal_angle,
     resolvent_identity_residual,
+    second_rep_residual,
+    shifted_coefficient,
+    stability_suite,
     subspace_intersection,
+    sufficient_semibounded,
     symmetrize,
+    weight_sqrt,
 )
 from formrep.spectral import _norm2_above
 
@@ -363,3 +373,52 @@ class TestSymmetrize:
     def test_rejects_one_by_zero(self):
         with pytest.raises(MatrixValidationError):
             symmetrize(np.zeros((2, 3)))
+
+
+#: Valid inputs of the public entries below: a certified weight / coefficient
+#: pair with its operator ``B`` and shifted coefficient ``C``, and a second
+#: weight block ``W``.
+_INV = canonical_involution(1, 1)
+_RESULT = associate_general(np.diag([1.0, 2.0]), np.array([[2.0, 0.5], [0.5, -3.0]]), _INV)
+_VALID = {
+    "A": np.diag([1.0, 2.0]),
+    "H": np.array([[2.0, 0.5], [0.5, -3.0]]),
+    "B": _RESULT.operator,
+    "C": _RESULT.shifted_coefficient,
+    "W": np.eye(2),
+}
+#: Public entry -> (call on a dict of the matrices above, the matrices it validates).
+_ENTRIES = {
+    "weight_sqrt": (lambda m: weight_sqrt(m["A"]), "A"),
+    "shifted_coefficient": (lambda m: shifted_coefficient(m["A"], m["H"], _INV), "AH"),
+    "associate_general": (lambda m: associate_general(m["A"], m["H"], _INV), "AH"),
+    "check_gap_hypothesis": (lambda m: check_gap_hypothesis(m["A"], m["H"], _INV), "AH"),
+    "first_rep_residual": (lambda m: first_rep_residual(m["A"], m["H"], m["B"]), "AHB"),
+    "second_rep_residual": (lambda m: second_rep_residual(m["A"], m["H"], m["B"]), "AHB"),
+    "offdiag_problem": (lambda m: offdiag_problem(m["A"], m["W"], np.ones((2, 2))), "AW"),
+    "stability_suite": (lambda m: stability_suite(m["A"], m["B"]), "AB"),
+    "sufficient_semibounded": (
+        lambda m: sufficient_semibounded(m["A"], m["C"], m["B"], _INV),
+        "ACB",
+    ),
+    "nullspace": (lambda m: nullspace(m["H"]), "H"),
+    "min_abs_eig": (lambda m: min_abs_eig(m["H"]), "H"),
+    "op_norm": (lambda m: op_norm(m["H"]), "H"),
+}
+
+
+@pytest.mark.parametrize("defect", ["asymmetric", "nan"])
+@pytest.mark.parametrize(
+    "entry, name", [(entry, name) for entry, (_, names) in _ENTRIES.items() for name in names]
+)
+def test_public_entries_validate_their_matrices(entry, name, defect):
+    # Each matrix is validated once, where it enters: here, by the entry itself.
+    call = _ENTRIES[entry][0]
+    call(_VALID)
+    bad = _VALID[name].copy()
+    if defect == "asymmetric":
+        bad[0, 1] += 0.1
+    else:
+        bad[0, 0] = np.nan
+    with pytest.raises(MatrixValidationError):
+        call({**_VALID, name: bad})
