@@ -5,9 +5,11 @@ size is its own: a general problem ``gen_random("general", n, SEED)`` for
 each ``n`` in ``GENERAL_SIZES`` and an offdiag problem
 ``gen_random("offdiag", (p, p), SEED)`` for each ``p`` in ``OFFDIAG_SIZES``.
 Each process times ``REPEATS`` runs of ``harness.run`` on one generated
-spec and keeps the best.  The JSON written to ``--out`` (or standard
-output) holds, per size, the best and all wall times in seconds, the peak
-RSS in MB and whether every run passed.
+spec and keeps the best, reads its peak RSS, and then traces one more run
+with ``tracemalloc``.  The JSON written to ``--out`` (or standard output)
+holds, per size, the best and all wall times in seconds, the peak RSS in
+MB, the traced peak of the extra run in units of ``n^2`` doubles (``n`` the
+problem dimension) and whether every run passed.
 
     python3 scripts/size_sweep.py --out sweep.json
 
@@ -25,6 +27,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -49,7 +52,18 @@ def measure(kind: str, size: int) -> dict:
         passed = passed and report.passed
     # ru_maxrss is in kilobytes on Linux.
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return {"best_s": min(walls), "runs_s": walls, "peak_rss_mb": peak_mb, "passed": passed}
+    tracemalloc.start()
+    passed = passed and run(spec).passed
+    traced = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    n = size if kind == "general" else 2 * size
+    return {
+        "best_s": min(walls),
+        "runs_s": walls,
+        "peak_rss_mb": peak_mb,
+        "traced_peak_n2": traced / (8.0 * n * n),
+        "passed": passed,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     NotPositiveSemidefiniteError,
     SingularMatrixError,
 )
-from .involution import Involution, block_decompose, commutes
+from .involution import COMMUTATION_TOL, _EPS_FLOOR, Involution, _block_decompose
 from .spectral import (
     SpectralDecomposition,
     _eigh,
@@ -139,13 +139,21 @@ def default_probes(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Seeded probe pairs as the columns of ``(X, Y)``: ``2n`` random unit Gaussians
     (pair ``k`` from draws ``2k`` and ``2k + 1`` of ``n`` normals each), plus all
     canonical basis pairs ``(e_i, e_j)`` when ``n <= CANONICAL_PROBE_LIMIT``."""
-    draws = np.random.default_rng(seed).standard_normal((2 * n, 2, n))
-    draws /= np.sqrt(np.einsum("ijk,ijk->ij", draws, draws))[..., None]  # no squared copy
-    xs, ys = draws[:, 0].T, draws[:, 1].T
-    if n <= CANONICAL_PROBE_LIMIT:
-        eye = np.eye(n)
-        xs, ys = np.hstack([xs, np.repeat(eye, n, axis=1)]), np.hstack([ys, np.tile(eye, n)])
-    return xs, ys
+    return tuple(np.hstack(side) for side in zip(*_probe_blocks(n, seed)))
+
+
+def _probe_blocks(n: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``default_probes(n, seed)`` in blocks of ``_PROBE_BLOCK`` random pairs, each drawn
+    when it is needed: chunked draws continue the ``default_rng(seed)`` stream bit for bit."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, 2 * n, _PROBE_BLOCK):
+        draws = rng.standard_normal((min(_PROBE_BLOCK, 2 * n - start), 2, n))
+        draws /= np.sqrt(np.einsum("ijk,ijk->ij", draws, draws))[..., None]  # no squared copy
+        xs, ys = draws[:, 0].T, draws[:, 1].T
+        if n <= CANONICAL_PROBE_LIMIT:  # the only block, at most 2n + n^2 = 288 columns
+            eye = np.eye(n)
+            xs, ys = np.hstack([xs, np.repeat(eye, n, axis=1)]), np.hstack([ys, np.tile(eye, n)])
+        yield xs, ys
 
 
 def check_gap_hypothesis(
@@ -167,9 +175,9 @@ def check_gap_hypothesis(
 
 def _certify(
     mat_a: np.ndarray, mat_h: np.ndarray, inv: Involution
-) -> tuple[GapCertificate, np.ndarray, np.ndarray, SpectralDecomposition, np.ndarray]:
-    """``check_gap_hypothesis``, also returning the symmetrized ``A`` and ``H``,
-    the clamped decomposition of ``A`` and the eigenvalues of ``H``."""
+) -> tuple[GapCertificate, np.ndarray, SpectralDecomposition, np.ndarray]:
+    """``check_gap_hypothesis``, also returning the symmetrized ``H``, the clamped
+    decomposition of ``A`` and the eigenvalues of ``H``; ``[J, A]`` is settled Frobenius-first."""
     sym_a = symmetrize(mat_a, "weight")
     sym_h = symmetrize(mat_h, "coefficient")
     if sym_a.shape[0] != sym_h.shape[0] or sym_a.shape[0] != inv.n:
@@ -184,12 +192,13 @@ def _certify(
         raise SingularMatrixError(
             f"coefficient matrix is singular: min |eigenvalue| = {h_gap:.3e}"
         )
-    ok, commutator = commutes(inv, sym_a)
-    if not ok:
+    bound = COMMUTATION_TOL * max(weight.source_norm, _EPS_FLOOR)
+    commutator = _norm2_above(inv.matrix @ sym_a - sym_a @ inv.matrix, bound)
+    if commutator is not None:
         raise CommutationError(
             f"involution does not commute with the weight: ||[J, A]|| = {commutator:.3e}"
         )
-    blocks = block_decompose(sym_h, inv)
+    blocks = _block_decompose(sym_h, inv)
     lambda_min_plus = float(np.linalg.eigvalsh(blocks.plus_block)[0])
     lambda_max_minus = float(np.linalg.eigvalsh(blocks.minus_block)[-1])
     refusal = None
@@ -205,7 +214,7 @@ def _certify(
         alpha_star=alpha_star if refusal is None else None,
         refusal=refusal,
     )
-    return certificate, sym_a, sym_h, weight, h_vals
+    return certificate, sym_h, weight, h_vals
 
 
 def shifted_coefficient(
@@ -237,26 +246,26 @@ def _pairing(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _probe_residuals(
-    probes: tuple[np.ndarray, np.ndarray],
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     scale: float,
     form: Callable[[np.ndarray, np.ndarray], np.ndarray],
     *sides: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> list[float]:
     """Largest ``|form(x, y) - side(x, y)| / (||x|| ||y|| scale)`` over the probes, per side.
 
-    The pairs are the columns of ``probes = (X, Y)``; ``form`` and each side map a
-    block of columns of ``X`` and ``Y`` to the value of every column pair in it."""
-    xs, ys = probes
-    if xs.ndim != 2 or xs.shape[1] == 0:
-        raise MatrixValidationError("at least one probe pair is needed")
+    The pairs are the columns of each block ``(X, Y)``, taken ``_PROBE_BLOCK`` at a time;
+    ``form`` and each side map such columns to the value of every column pair in them."""
     worst = np.zeros(len(sides))
-    for start in range(0, xs.shape[1], _PROBE_BLOCK):
-        x, y = xs[:, start : start + _PROBE_BLOCK], ys[:, start : start + _PROBE_BLOCK]
-        denom = np.linalg.norm(x, axis=0) * np.linalg.norm(y, axis=0) * scale
-        if not np.all(denom > 0.0):
-            raise MatrixValidationError("probe vectors must be nonzero")
-        target = form(x, y)
-        worst = np.maximum(worst, [np.max(np.abs(target - side(x, y)) / denom) for side in sides])
+    for xs, ys in blocks:
+        if xs.ndim != 2 or xs.shape[1] == 0:
+            raise MatrixValidationError("at least one probe pair is needed")
+        for start in range(0, xs.shape[1], _PROBE_BLOCK):
+            x, y = xs[:, start : start + _PROBE_BLOCK], ys[:, start : start + _PROBE_BLOCK]
+            denom = np.linalg.norm(x, axis=0) * np.linalg.norm(y, axis=0) * scale
+            if not np.all(denom > 0.0):
+                raise MatrixValidationError("probe vectors must be nonzero")
+            target = form(x, y)
+            worst = np.maximum(worst, [np.max(np.abs(target - f(x, y)) / denom) for f in sides])
     return [float(value) for value in worst]
 
 
@@ -280,9 +289,9 @@ def _standalone(
     weight = _clamped_weight(sym_a)
     root = apply_fn(weight, np.sqrt)
     if probes is not None:  # an empty list stacks to 1-d arrays, which are rejected
-        probes = (np.array([x for x, _ in probes]).T, np.array([y for _, y in probes]).T)
+        probes = [(np.array([x for x, _ in probes]).T, np.array([y for _, y in probes]).T)]
     return _probe_residuals(
-        default_probes(sym_a.shape[0], seed=seed) if probes is None else probes,
+        _probe_blocks(sym_a.shape[0], seed) if probes is None else probes,
         (1.0 + weight.source_norm) * max(_sym_norm(sym_h), 1e-300),
         lambda xs, ys: _pairing(root @ xs, sym_h @ (root @ ys)),
         side,
@@ -348,7 +357,7 @@ def associate_general(
     InternalCheckError
         If the two assembly routes disagree beyond ``1e-10 * scale``.
     """
-    certificate, sym_a, sym_h, weight, h_vals = _certify(mat_a, mat_h, inv)
+    certificate, sym_h, weight, h_vals = _certify(mat_a, mat_h, inv)
     if not certificate.satisfied and not force:
         raise HypothesisRefusedError(
             f"spectral-gap condition refused: {certificate.refusal}", certificate
@@ -360,14 +369,16 @@ def associate_general(
     via_shifted = shifted_root @ shifted @ shifted_root
     scale = (1.0 + weight.source_norm) * max(float(np.max(np.abs(h_vals))), 1e-300)
     route_gap = _norm2_above(via_shifted - inv.matrix - operator, 1e-10 * scale)
+    del shifted_root, via_shifted  # each n x n matrix is dropped after its last use
     if route_gap is not None:
         raise InternalCheckError(
             f"assembly routes disagree: ||(B~ - J) - B|| = {route_gap:.3e} "
             f"exceeds {1e-10 * scale:.3e}"
         )
+    gap_radius = _min_abs(shifted)
     decomp = _eigh(operator)
     first, second = _probe_residuals(
-        default_probes(sym_a.shape[0], seed=probe_seed),
+        _probe_blocks(weight.n, probe_seed),
         scale,
         lambda xs, ys: _pairing(root @ xs, sym_h @ (root @ ys)),
         lambda xs, ys: _pairing(xs, operator @ ys),
@@ -378,7 +389,7 @@ def associate_general(
         shifted_operator=operator + inv.matrix,
         compressed_coefficient=compressed,
         shifted_coefficient=shifted,
-        gap_radius=_min_abs(shifted),
+        gap_radius=gap_radius,
         first_rep_residual=first,
         second_rep_residual=second,
         certificate=certificate,

@@ -236,6 +236,8 @@ def load_spec(path: str) -> ProblemSpec:
         raise SpecFormatError(
             f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise SpecFormatError(f"parse error in {path}: nesting too deep") from exc
     return spec_from_dict(raw)
 
 
@@ -451,7 +453,17 @@ def _run_general(spec: ProblemSpec) -> Report:
         checks["gap_radius_above_alpha"] = (
             result.gap_radius >= (cert.alpha_star or 0.0) - 1e-8 * tol
         )
-    stab = _stability(result.weight, result.operator, result.decomposition, 1)
+    representation = {
+        "certified": result.certified,
+        "first_rep_residual": result.first_rep_residual,
+        "second_rep_residual": result.second_rep_residual,
+        "gap_radius": result.gap_radius,
+        "gap_margin": float(margin),
+        "operator_norm": result.decomposition.source_norm,
+    }
+    suite_inputs = result.weight, result.operator, result.decomposition
+    del result, inv  # the suite sets the run's peak: drop the matrices nothing reads again
+    stab = _stability(*suite_inputs, 1)
     checks["stability_conditions_agree"] = all(stab.conditions.values())
     checks["shifted_unit_gap"] = stab.shifted_gap >= 1.0 - 1e-10 * tol
     return Report(
@@ -459,14 +471,7 @@ def _run_general(spec: ProblemSpec) -> Report:
         spec_echo=_spec_dict(spec, _matrix_digest),
         checks=checks,
         certificate=asdict(cert),
-        representation={
-            "certified": result.certified,
-            "first_rep_residual": result.first_rep_residual,
-            "second_rep_residual": result.second_rep_residual,
-            "gap_radius": result.gap_radius,
-            "gap_margin": float(margin),
-            "operator_norm": result.decomposition.source_norm,
-        },
+        representation=representation,
         stability=asdict(stab),
     )
 
@@ -490,19 +495,22 @@ def _run_offdiag(spec: ProblemSpec) -> Report:
     kernel = _kernel_report(problem, result.decomposition)
     checks["kernel_dims_match"] = kernel.dims_match
     checks["kernel_principal_angle"] = kernel.principal_angle <= 1e-8 * tol
-    stab = _stability(result.weight, result.operator, result.decomposition, 1)
+    representation = {
+        "first_rep_residual": result.first_rep_residual,
+        "second_rep_residual": result.second_rep_residual,
+        "gap_radius": result.gap_radius,
+        "coupling_norm": problem.coupling_norm,
+        "operator_norm": result.decomposition.source_norm,
+    }
+    suite_inputs = result.weight, result.operator, result.decomposition
+    del result, problem  # the suite sets the run's peak: drop the matrices nothing reads again
+    stab = _stability(*suite_inputs, 1)
     checks["stability_conditions_agree"] = all(stab.conditions.values())
     return Report(
         kind="offdiag",
         spec_echo=_spec_dict(spec, _matrix_digest),
         checks=checks,
-        representation={
-            "first_rep_residual": result.first_rep_residual,
-            "second_rep_residual": result.second_rep_residual,
-            "gap_radius": result.gap_radius,
-            "coupling_norm": problem.coupling_norm,
-            "operator_norm": result.decomposition.source_norm,
-        },
+        representation=representation,
         kernel={
             "theorem_dim": kernel.theorem_kernel.dim,
             "oracle_dim": kernel.oracle_kernel.dim,

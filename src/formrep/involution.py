@@ -131,6 +131,16 @@ def make_involution(mat: np.ndarray) -> Involution:
     )
 
 
+def _validated(mat: np.ndarray, inv: Involution, name: str = "matrix") -> np.ndarray:
+    """``symmetrize(mat, name)``, checked to have the involution's dimension."""
+    sym = symmetrize(mat, name)
+    if sym.shape[0] != inv.n:
+        raise MatrixValidationError(
+            f"dimension mismatch: involution is {inv.n}, matrix is {sym.shape[0]}"
+        )
+    return sym
+
+
 def commutes(
     inv: Involution, mat: np.ndarray, tol: float = COMMUTATION_TOL
 ) -> tuple[bool, float]:
@@ -138,11 +148,7 @@ def commutes(
 
     The verdict is true iff the commutator norm is at most ``tol * ||M||``.
     """
-    sym = symmetrize(mat)
-    if sym.shape[0] != inv.n:
-        raise MatrixValidationError(
-            f"dimension mismatch: involution is {inv.n}, matrix is {sym.shape[0]}"
-        )
+    sym = _validated(mat, inv)
     residual = _gram_norm(inv.matrix @ sym - sym @ inv.matrix)
     # max |M_ij| <= ||M||, so the entry bound settles most verdicts without an eigensolve.
     ok = residual <= tol * max(float(np.max(np.abs(sym))), _EPS_FLOOR) or (
@@ -153,11 +159,11 @@ def commutes(
 
 def block_decompose(mat: np.ndarray, inv: Involution) -> BlockDecomposition:
     """Express a self-adjoint matrix in the involution's block coordinates."""
-    sym = symmetrize(mat)
-    if sym.shape[0] != inv.n:
-        raise MatrixValidationError(
-            f"dimension mismatch: involution is {inv.n}, matrix is {sym.shape[0]}"
-        )
+    return _block_decompose(_validated(mat, inv), inv)
+
+
+def _block_decompose(sym: np.ndarray, inv: Involution) -> BlockDecomposition:
+    """``block_decompose`` of a validated matrix of the involution's dimension."""
     frame = inv.half_space_frame()
     coords = frame.conj().T @ sym @ frame
     p = inv.dim_plus

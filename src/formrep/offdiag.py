@@ -29,11 +29,11 @@ from .general import (
     RepresentationResult,
     _clamped_weight,
     _pairing,
+    _probe_blocks,
     _probe_residuals,
     _represented_side,
-    default_probes,
 )
-from .involution import Involution, canonical_involution
+from .involution import Involution, _validated, canonical_involution
 from .spectral import (
     SpectralDecomposition,
     SubspaceBasis,
@@ -183,11 +183,7 @@ def check_offdiagonal(
     equivalent anticommutation test ``||JS + SJ|| = 2 * residual`` is
     computed as a cross-check.
     """
-    sym = symmetrize(coupling_full, "coupling matrix")
-    if sym.shape[0] != inv.n:
-        raise MatrixValidationError(
-            f"dimension mismatch: involution is {inv.n}, matrix is {sym.shape[0]}"
-        )
+    sym = _validated(coupling_full, inv, "coupling matrix")
     proj_p = inv.projector_plus
     proj_m = inv.projector_minus
     residual = max(_sym_norm(proj_p @ sym @ proj_p), _sym_norm(proj_m @ sym @ proj_m))
@@ -249,16 +245,16 @@ def assemble_offdiag(problem: OffDiagonalProblem, probe_seed: int = 0) -> Repres
     representation residuals against the form evaluated directly from the problem data.  The gap
     certificate is automatic here: the splitting itself creates the gap with margin 1.
     """
-    shifted_coeff = shifted_block_coefficient(problem)
     operator = _associated(problem)
     decomp = _eigh(operator)
     first, second = _probe_residuals(
-        default_probes(problem.dim, seed=probe_seed),
+        _probe_blocks(problem.dim, probe_seed),
         _form_scale(problem),
         form_evaluator(problem),
         lambda xs, ys: _pairing(xs, operator @ ys),
         _represented_side(decomp),
     )
+    shifted_coeff = shifted_block_coefficient(problem)
     return RepresentationResult(
         operator=operator,
         shifted_operator=operator + problem.splitting().matrix,

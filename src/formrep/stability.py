@@ -125,6 +125,12 @@ def stability_suite(
     return _stability(_clamped_weight(sym_a), sym_b, _eigh(sym_b), s)
 
 
+def _minus_eye(prod: np.ndarray) -> np.ndarray:
+    """``prod - I``, in place on the diagonal of a fresh product."""
+    prod.flat[:: prod.shape[0] + 1] -= 1.0
+    return prod
+
+
 def _stability(
     weight: SpectralDecomposition, sym_b: np.ndarray, decomp: SpectralDecomposition, s: int
 ) -> StabilityReport:
@@ -133,8 +139,10 @@ def _stability(
     ``W`` (every norm reported is unitarily invariant): ``(A+I)^(1/2)`` and its
     inverse are diagonal there, and ``f(B)`` is ``Q diag(f(lam)) Q*``, ``Q = W* V``.
     Norms come from ``eigvalsh`` of symmetric or Gram matrices, or from ``lam``;
-    no SVD is taken.  The unit gap and the forward pair use ``sym_b`` itself."""
-    eye = np.eye(sym_b.shape[0])
+    no SVD is taken.  The unit gap and the forward pair use ``sym_b`` itself.
+    Each n x n matrix lives from its first use to its last, in this order: ``B + sgn B``
+    (unit gap, forward pair ``F``), ``X~`` (norm, ``X~ F - I``; ``F`` goes), ``X`` and ``Y``
+    (norms, flags ii/iii, ``XY - I``; ``Y`` goes), ``K`` (norm, ``K^2 - I``, ``K - X~ X``)."""
     lam = decomp.eigenvalues
     signs = _signum(decomp, float(s))(lam)
     shifted = sym_b + _spectral_map(decomp, signs)
@@ -144,15 +152,11 @@ def _stability(
             f"shifted matrix lost its unit gap: min |eig(B + sgn B)| = {shifted_gap!r}"
         )
     to_frame = weight.eigenvectors.conj().T  # W*
-    rotated = SpectralDecomposition(lam, to_frame @ decomp.eigenvectors, decomp.source_norm)
     grow = np.sqrt(1.0 + weight.eigenvalues)[:, None]  # g as a column
     shrink = 1.0 / grow
-
-    weighted_abs = shrink * _spectral_map(rotated, np.abs(lam + signs)) * shrink.T
-    weighted_abs_inverse = grow * _spectral_map(rotated, 1.0 / np.abs(lam + signs)) * grow.T
-    sign_conjugate = grow * _spectral_map(rotated, signs) * shrink.T
-    shifted_inverse_pair = grow * _spectral_map(rotated, 1.0 / (lam + signs)) * grow.T
     shifted_forward_pair = shrink * (to_frame @ shifted @ weight.eigenvectors) * shrink.T
+    del shifted  # dropped after its last use, as is each n x n matrix below
+    rotated = SpectralDecomposition(lam, to_frame @ decomp.eigenvectors, decomp.source_norm)
 
     def within(mat: np.ndarray, scale: float) -> bool:
         return _norm2_above(mat, FLAG_TOL * max(1.0, scale)) is None
@@ -160,24 +164,27 @@ def _stability(
     def symmetric(mat: np.ndarray, scale: float) -> bool:
         return bool(np.isfinite(mat).all() and within(mat - mat.conj().T, scale))
 
+    shifted_inverse_pair = grow * _spectral_map(rotated, 1.0 / (lam + signs)) * grow.T
+    norm_xt = _sym_norm(shifted_inverse_pair)
+    # Both factors of each inverse pair are symmetric: S F - I = (F S - I)^T.
+    inverse_pair_residual = _gram_norm(_minus_eye(shifted_inverse_pair @ shifted_forward_pair))
+    del shifted_forward_pair
+    weighted_abs = shrink * _spectral_map(rotated, np.abs(lam + signs)) * shrink.T
+    weighted_abs_inverse = grow * _spectral_map(rotated, 1.0 / np.abs(lam + signs)) * grow.T
     norm_x = _sym_norm(weighted_abs)
     norm_y = _sym_norm(weighted_abs_inverse)
+    flag_x = symmetric(weighted_abs, norm_x)
+    flag_y = symmetric(weighted_abs_inverse, norm_y)
+    pair_x_y = within(_minus_eye(weighted_abs @ weighted_abs_inverse), norm_x * norm_y)
+    del weighted_abs_inverse
+    sign_conjugate = grow * _spectral_map(rotated, signs) * shrink.T
     norm_k = _gram_norm(sign_conjugate)
-    norm_xt = _sym_norm(shifted_inverse_pair)
-
-    involution_residual = _gram_norm(sign_conjugate @ sign_conjugate - eye)
-    # Both factors of each inverse pair are symmetric: S F - I = (F S - I)^T.
-    inverse_pair_residual = _gram_norm(shifted_inverse_pair @ shifted_forward_pair - eye)
+    involution_residual = _gram_norm(_minus_eye(sign_conjugate @ sign_conjugate))
     # (sgn_s - sgn_0)(B) B and (sgn_s - sgn_0)(B) |B| both have norm max |(sgn_s - sgn_0) lam|.
     sign_gap = signs - _signum(decomp, 0.0)(lam)
     sgn_invariance_residual = float(np.max(np.abs(sign_gap * lam), initial=0.0))
-    flag_x = symmetric(weighted_abs, norm_x)
-    flag_y = symmetric(weighted_abs_inverse, norm_y)
     conditions = {
-        "i": bool(
-            within(weighted_abs @ weighted_abs_inverse - eye, norm_x * norm_y)
-            and inverse_pair_residual <= FLAG_TOL * max(1.0, norm_xt * norm_y)
-        ),
+        "i": pair_x_y and inverse_pair_residual <= FLAG_TOL * max(1.0, norm_xt * norm_y),
         "ii": flag_x,
         "iii": flag_x,
         "ii'": flag_y,

@@ -44,15 +44,16 @@ from formrep.stability import _stability
 #: are the unit gap, three symmetric norms and three Gram matrices.
 #: ``(A+I)^(1/2)`` is mapped once per offdiag problem, and the second
 #: representation residual is read in the eigenbasis of ``B`` with no map.
-#: ``symmetrize`` validates each input matrix where it enters: ``J``, ``A``
-#: and ``H`` of a general run, plus ``A`` again in ``commutes`` and ``H`` in
-#: ``block_decompose``; the two weight blocks of an offdiag run.  Matrices the
-#: library builds are averaged, if at all, without validation.
+#: ``[J, A]`` of a general run is settled by its Frobenius norm, with no
+#: ``eigvalsh``.  ``symmetrize`` validates each input matrix where it enters:
+#: ``J``, ``A`` and ``H`` of a general run; the two weight blocks of an offdiag
+#: run.  Matrices the library builds are averaged, if at all, without
+#: validation.
 CASES = {
     "general": (
         ("general", 16, 3),
         {
-            "eigh": 3, "eigvalsh": 13, "svd": 0, "apply_fn": 4, "symmetrize": 5,
+            "eigh": 3, "eigvalsh": 12, "svd": 0, "apply_fn": 4, "symmetrize": 3,
             "assemble_offdiag": 0,
         },
     ),

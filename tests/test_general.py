@@ -21,6 +21,7 @@ from formrep import (
     shifted_coefficient,
     weight_sqrt,
 )
+from formrep.involution import COMMUTATION_TOL
 
 DIAG_SPLIT = make_involution(np.diag([1.0, -1.0]))
 
@@ -70,6 +71,20 @@ class TestGapCertificate:
         swap = make_involution(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(CommutationError):
             check_gap_hypothesis(np.diag([2.0, 0.5]), np.diag([1.0, -1.0]), swap)
+
+    @pytest.mark.parametrize("pairs", [1, 4])
+    def test_commutation_bound(self, pairs):
+        # A = [[2I, eI], [eI, I]] has ||A|| = 2 and ||[J, A]||_2 = 2e; with four pairs the
+        # Frobenius norm exceeds the bound at half of it, and the 2-norm decides.
+        inv = make_involution(np.diag([1.0] * pairs + [-1.0] * pairs))
+        for factor in (0.5, 2.0):
+            coupling = factor * COMMUTATION_TOL
+            weight = np.kron([[2.0, coupling], [coupling, 1.0]], np.eye(pairs))
+            if factor < 1.0:
+                assert check_gap_hypothesis(weight, inv.matrix, inv).satisfied
+            else:
+                with pytest.raises(CommutationError, match=f"= {2 * coupling:.3e}$"):
+                    check_gap_hypothesis(weight, inv.matrix, inv)
 
 
 class TestShiftedCoefficient:

@@ -422,6 +422,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_deeply_nested_file_exit_two_one_line(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: parse error in {path}: nesting too deep\n"
+
     @pytest.mark.parametrize("entry", ["1e200", "1e308", "-1e308"])
     def test_huge_entry_exit_two_one_line(self, tmp_path, capsys, entry):
         payload = json.loads(json.dumps(MINIMAL_GENERAL))

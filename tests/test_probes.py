@@ -1,9 +1,11 @@
-"""The stacked probe stage against the per-pair code it replaced.
+"""The blocked probe stage against the per-pair code it replaced.
 
-``default_probes`` draws every probe pair in one call and returns the pairs
-stacked as the columns of ``(X, Y)``; ``loop_probes`` is the per-pair loop it
-replaced and is the oracle for the draw.  The second representation residual
-pairs ``V* x`` with ``w V* y`` in the eigenbasis of ``B = V diag(lam) V*``,
+The pipelines draw the probe pairs ``_PROBE_BLOCK`` at a time from one seeded
+stream, and ``default_probes`` returns the same pairs stacked as the columns
+of ``(X, Y)``; ``loop_probes`` is the per-pair loop they replaced and
+``one_draw`` the single ``(2n, 2, n)`` draw, the oracles for the draw.  The
+second representation residual pairs ``V* x`` with ``w V* y`` in the
+eigenbasis of ``B = V diag(lam) V*``,
 ``w = sign(lam) |lam|``; ``mapped_side`` builds ``|B|^(1/2)`` and ``sign(B)``
 with ``apply_fn`` and is the oracle for that side.  The residuals are
 evaluated in column blocks, so the probe stage holds no ``n x 2n`` products:
@@ -17,7 +19,14 @@ import numpy as np
 import pytest
 
 from formrep import associate_general, default_probes, gen_random, make_involution
-from formrep.general import CANONICAL_PROBE_LIMIT, _pairing, _probe_residuals, _represented_side
+from formrep.general import (
+    _PROBE_BLOCK,
+    CANONICAL_PROBE_LIMIT,
+    _pairing,
+    _probe_blocks,
+    _probe_residuals,
+    _represented_side,
+)
 from formrep.spectral import _signum, apply_fn
 from test_norm_oracle import ORACLE_CASES, assembled
 
@@ -34,6 +43,13 @@ def loop_probes(n, seed=0):
         eye = np.eye(n)
         probes.extend((eye[:, i], eye[:, j]) for i in range(n) for j in range(n))
     return probes
+
+
+def one_draw(n, seed=0):
+    """The random probe pairs of one ``(2n, 2, n)`` draw, as the columns of ``(X, Y)``."""
+    draws = np.random.default_rng(seed).standard_normal((2 * n, 2, n))
+    draws /= np.sqrt(np.einsum("ijk,ijk->ij", draws, draws))[..., None]
+    return draws[:, 0].T, draws[:, 1].T
 
 
 def mapped_side(decomp):
@@ -53,6 +69,17 @@ def test_stacked_draw_equals_the_loop(n):
     np.testing.assert_allclose(ys, np.column_stack([y for _, y in oracle]), rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [3, 16, 17, 128, 200, 384])
+def test_blocked_draw_equals_the_stacked_draw(n):
+    blocks = list(_probe_blocks(n, seed=n))
+    assert len(blocks) == -(-2 * n // _PROBE_BLOCK)  # the canonical pairs join the one block
+    xs, ys = (np.hstack([block[side] for block in blocks]) for side in (0, 1))
+    stacked = default_probes(n, seed=n)
+    assert np.array_equal(xs, stacked[0]) and np.array_equal(ys, stacked[1])
+    random_x, random_y = one_draw(n, seed=n)
+    assert np.array_equal(xs[:, : 2 * n], random_x) and np.array_equal(ys[:, : 2 * n], random_y)
+
+
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_eigenbasis_side_matches_the_mapped_side(case):
     result, _ = assembled(case)
@@ -60,7 +87,7 @@ def test_eigenbasis_side_matches_the_mapped_side(case):
     scale = decomp.source_norm
     # The oracle stands in for the form: the residual is the normalized gap of the two sides.
     gap = _probe_residuals(
-        default_probes(decomp.n), scale, mapped_side(decomp), _represented_side(decomp)
+        _probe_blocks(decomp.n, 0), scale, mapped_side(decomp), _represented_side(decomp)
     )[0]
     assert gap <= 1e-12
 
