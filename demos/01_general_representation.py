@@ -46,7 +46,7 @@ print("second-representation residual:", result.second_rep_residual)
 
 # (4) The certificate in action: (-c, c) avoids the spectrum of B + J.
 print("certified gap radius c        :", result.gap_radius)
-print("actual gap of B + J           :", min_abs_eig(result.shifted_operator))
+print("actual gap of B + J           :", min_abs_eig(result.operator + splitting.matrix))
 print("margin (must be >= 0)         :", gap_certificate_check(result, splitting))
 
 # (5) A broken operator is caught by the probe residual immediately.

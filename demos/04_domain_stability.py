@@ -14,6 +14,7 @@ from formrep import (
     gen_random,
     make_involution,
     sgn_matrix,
+    shifted_coefficient,
     stability_suite,
     sufficient_definite,
     sufficient_semibounded,
@@ -43,11 +44,10 @@ weight = np.diag([0.0, 1.0, 2.0])
 coeff = np.diag([0.5, 1.0, 1.5])
 root = weight_sqrt(weight)
 psd_operator = root @ coeff @ root
-print("\ndefinite criterion applies:", sufficient_definite(weight, coeff, psd_operator))
+print("\ndefinite criterion applies:", sufficient_definite(coeff, psd_operator))
 
 # (4) Sufficient criterion: semiboundedness, certified by a doubling search
 #     for a shift constant that makes the shifted coefficient positive.
-ok, shift = sufficient_semibounded(
-    spec.matrices["A"], result.shifted_coefficient, result.operator, splitting
-)
+_, shifted = shifted_coefficient(spec.matrices["A"], spec.matrices["H"], splitting)
+ok, shift = sufficient_semibounded(spec.matrices["A"], shifted, result.operator, splitting)
 print("semibounded criterion:", ok, "with shift constant", shift)

@@ -79,14 +79,14 @@ class GapCertificate:
 class RepresentationResult:
     """Bundle produced by the association pipeline.
 
-    ``shifted_operator`` is ``operator + J`` exactly by construction; the
-    alternative route through the shifted coefficient is verified against
-    it.  ``gap_radius`` is ``1 / ||H_shifted^-1||``, the certified radius of
-    the resolvent interval of the shifted operator.
+    ``gap_radius`` is ``1 / ||H_shifted^-1||``, the certified radius of the
+    resolvent interval of the shifted operator ``operator + J``; the shifted
+    coefficient ``H_shifted`` is ``shifted_coefficient(A, H, J)[1]``.
 
-    For certified results ``certificate.alpha_star <= gap_radius``: both
-    block margins of the shifted coefficient stay at least ``alpha_star``
-    and off-diagonal coupling cannot move spectrum into the gap.  When the
+    For certified results (``certificate.satisfied``),
+    ``certificate.alpha_star <= gap_radius``: both block margins of the
+    shifted coefficient stay at least ``alpha_star`` and off-diagonal
+    coupling cannot move spectrum into the gap.  When the
     weight has a nontrivial kernel, ``gap_radius <= 1``: a unit ``x`` in
     ``ker A`` has ``shifted_coefficient @ x = J x``, of norm 1.
 
@@ -95,14 +95,10 @@ class RepresentationResult:
     """
 
     operator: np.ndarray
-    shifted_operator: np.ndarray
-    compressed_coefficient: np.ndarray
-    shifted_coefficient: np.ndarray
     gap_radius: float
     first_rep_residual: float
     second_rep_residual: float
     certificate: GapCertificate
-    certified: bool
     weight: SpectralDecomposition
     decomposition: SpectralDecomposition
 
@@ -347,8 +343,8 @@ def associate_general(
     Parameters
     ----------
     force : bool
-        Proceed even when the gap certificate is refused.  The result is
-        then flagged uncertified; no gap guarantee applies.
+        Proceed even when the gap certificate is refused.  The result's
+        ``certificate.satisfied`` is then False; no gap guarantee applies.
 
     Raises
     ------
@@ -365,17 +361,17 @@ def associate_general(
     root = apply_fn(weight, np.sqrt)
     shifted_root = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
     operator = _hermitian(root @ sym_h @ root)
-    compressed, shifted = _shifted_pair(weight, sym_h, inv)
+    shifted = _shifted_pair(weight, sym_h, inv)[1]
     via_shifted = shifted_root @ shifted @ shifted_root
     scale = (1.0 + weight.source_norm) * max(float(np.max(np.abs(h_vals))), 1e-300)
     route_gap = _norm2_above(via_shifted - inv.matrix - operator, 1e-10 * scale)
-    del shifted_root, via_shifted  # each n x n matrix is dropped after its last use
     if route_gap is not None:
         raise InternalCheckError(
             f"assembly routes disagree: ||(B~ - J) - B|| = {route_gap:.3e} "
             f"exceeds {1e-10 * scale:.3e}"
         )
     gap_radius = _min_abs(shifted)
+    del shifted_root, shifted, via_shifted  # each n x n matrix is dropped after its last use
     decomp = _eigh(operator)
     first, second = _probe_residuals(
         _probe_blocks(weight.n, probe_seed),
@@ -386,14 +382,10 @@ def associate_general(
     )
     return RepresentationResult(
         operator=operator,
-        shifted_operator=operator + inv.matrix,
-        compressed_coefficient=compressed,
-        shifted_coefficient=shifted,
         gap_radius=gap_radius,
         first_rep_residual=first,
         second_rep_residual=second,
         certificate=certificate,
-        certified=certificate.satisfied,
         weight=weight,
         decomposition=decomp,
     )

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .general import associate_general, gap_certificate_check
 from .involution import make_involution
-from .offdiag import _kernel_report, _verify_direct, assemble_offdiag, offdiag_problem
+from .offdiag import _kernel_report, assemble_offdiag, direct_coefficient, offdiag_problem
 from .spectral import random_orthogonal
 from .stability import _stability, family_diagnostics
 
@@ -448,22 +448,21 @@ def _run_general(spec: ProblemSpec) -> Report:
     checks["first_rep_residual"] = result.first_rep_residual <= 1e-10 * tol
     checks["second_rep_residual"] = result.second_rep_residual <= 1e-10 * tol
     margin = gap_certificate_check(result, inv)
-    if result.certified:
+    if cert.satisfied:
         checks["gap_margin"] = margin >= -1e-8 * tol
         checks["gap_radius_above_alpha"] = (
             result.gap_radius >= (cert.alpha_star or 0.0) - 1e-8 * tol
         )
     representation = {
-        "certified": result.certified,
+        "certified": cert.satisfied,
         "first_rep_residual": result.first_rep_residual,
         "second_rep_residual": result.second_rep_residual,
         "gap_radius": result.gap_radius,
         "gap_margin": float(margin),
         "operator_norm": result.decomposition.source_norm,
     }
-    suite_inputs = result.weight, result.operator, result.decomposition
-    del result, inv  # the suite sets the run's peak: drop the matrices nothing reads again
-    stab = _stability(*suite_inputs, 1)
+    del inv  # the suite sets the run's peak: drop the matrices nothing reads again
+    stab = _stability(result.weight, result.operator, result.decomposition, 1)
     checks["stability_conditions_agree"] = all(stab.conditions.values())
     checks["shifted_unit_gap"] = stab.shifted_gap >= 1.0 - 1e-10 * tol
     return Report(
@@ -488,7 +487,7 @@ def _run_offdiag(spec: ProblemSpec) -> Report:
         "shifted_gap_at_least_one": result.gap_radius >= 1.0 - 1e-10 * tol,
     }
     try:
-        _verify_direct(problem, result.compressed_coefficient, result.operator)
+        direct_coefficient(problem)
         checks["direct_coefficient_identity"] = True
     except InternalCheckError:
         checks["direct_coefficient_identity"] = False
@@ -502,9 +501,8 @@ def _run_offdiag(spec: ProblemSpec) -> Report:
         "coupling_norm": problem.coupling_norm,
         "operator_norm": result.decomposition.source_norm,
     }
-    suite_inputs = result.weight, result.operator, result.decomposition
-    del result, problem  # the suite sets the run's peak: drop the matrices nothing reads again
-    stab = _stability(*suite_inputs, 1)
+    del problem  # the suite sets the run's peak: drop the matrices nothing reads again
+    stab = _stability(result.weight, result.operator, result.decomposition, 1)
     checks["stability_conditions_agree"] = all(stab.conditions.values())
     return Report(
         kind="offdiag",

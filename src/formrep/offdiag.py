@@ -105,9 +105,6 @@ class OffDiagonalProblem:
         out[p:, :p] = self.coupling.conj().T
         return out
 
-    def splitting(self) -> Involution:
-        return self.involution
-
 
 @dataclass(frozen=True)
 class KernelReport:
@@ -224,7 +221,7 @@ def form_evaluator(problem: OffDiagonalProblem):
 
 def shifted_block_coefficient(problem: OffDiagonalProblem) -> np.ndarray:
     """The shifted coefficient ``[[I, T], [T*, -I]]``."""
-    return problem.splitting().matrix + problem.full_coupling()
+    return problem.involution.matrix + problem.full_coupling()
 
 
 def _associated(problem: OffDiagonalProblem) -> np.ndarray:
@@ -254,52 +251,39 @@ def assemble_offdiag(problem: OffDiagonalProblem, probe_seed: int = 0) -> Repres
         lambda xs, ys: _pairing(xs, operator @ ys),
         _represented_side(decomp),
     )
-    shifted_coeff = shifted_block_coefficient(problem)
     return RepresentationResult(
         operator=operator,
-        shifted_operator=operator + problem.splitting().matrix,
-        compressed_coefficient=direct_coefficient(problem, verify=False),
-        shifted_coefficient=shifted_coeff,
-        gap_radius=_min_abs(shifted_coeff),
+        gap_radius=_min_abs(shifted_block_coefficient(problem)),
         first_rep_residual=first,
         second_rep_residual=second,
         certificate=GapCertificate(
             lambda_min_plus=1.0, lambda_max_minus=-1.0, satisfied=True, alpha_star=1.0
         ),
-        certified=True,
         weight=problem.weight,
         decomposition=decomp,
     )
 
 
-def direct_coefficient(problem: OffDiagonalProblem, verify: bool = True) -> np.ndarray:
+def direct_coefficient(problem: OffDiagonalProblem) -> np.ndarray:
     """Bounded middle factor representing the associated matrix directly.
 
-    Returns ``[[I - (A_plus + I)^-1, T], [T*, -I + (A_minus + I)^-1]]``,
+    Returns ``C = [[I - (A_plus + I)^-1, T], [T*, -I + (A_minus + I)^-1]]``,
     which satisfies ``B = (A+I)^(1/2) C (A+I)^(1/2)`` with no involution
-    shift.  With ``verify=True`` the identity is checked to
-    ``1e-10 * scale``.
+    shift.  The identity is checked against the closed-form ``B`` to
+    ``1e-10 * scale``; a breach raises ``InternalCheckError``.
     """
     p = problem.dim_plus
     out = shifted_block_coefficient(problem)
     out[:p, :p] -= apply_fn(problem.weight_plus, lambda lam: 1.0 / (1.0 + lam))
     out[p:, p:] += apply_fn(problem.weight_minus, lambda lam: 1.0 / (1.0 + lam))
-    if verify:
-        _verify_direct(problem, out, _associated(problem))
-    return out
-
-
-def _verify_direct(
-    problem: OffDiagonalProblem, coefficient: np.ndarray, operator: np.ndarray
-) -> None:
-    """Check ``B = (A+I)^(1/2) C (A+I)^(1/2)`` for the direct coefficient ``C``."""
-    rebuilt = problem.shifted_root @ coefficient @ problem.shifted_root
+    rebuilt = problem.shifted_root @ out @ problem.shifted_root
     tol = 1e-10 * _form_scale(problem)
-    defect = _norm2_above(rebuilt - operator, tol)
+    defect = _norm2_above(rebuilt - _associated(problem), tol)
     if defect is not None:
         raise InternalCheckError(
             f"direct-coefficient identity breached: {defect:.3e} > {tol:.3e}"
         )
+    return out
 
 
 def _annihilator(

@@ -47,6 +47,9 @@ MAX_FAMILY_INDEX = 6
 
 _CONDITION_KEYS = ("i", "ii", "ii'", "iii", "iii'", "iv", "v")
 
+#: Shift constants ``sufficient_semibounded`` tries before it gives up.
+_MAX_DOUBLINGS = 60
+
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -207,9 +210,7 @@ def _stability(
     )
 
 
-def sufficient_definite(
-    mat_a: np.ndarray, mat_h: np.ndarray, operator: np.ndarray
-) -> bool:
+def sufficient_definite(mat_h: np.ndarray, operator: np.ndarray) -> bool:
     """Definiteness criterion for domain stability.
 
     A strictly positive coefficient forces the associated matrix to be PSD,
@@ -239,7 +240,6 @@ def sufficient_semibounded(
     shifted_coeff: np.ndarray,
     operator: np.ndarray,
     inv: Involution,
-    max_doublings: int = 60,
 ) -> tuple[bool, float]:
     """Semiboundedness criterion: search for a certifying shift constant.
 
@@ -247,7 +247,7 @@ def sufficient_semibounded(
     ``c`` for which the shifted coefficient plus ``c (A + I)^(-1)`` is
     strictly positive and ``-1/c`` stays clear of the spectrum of the
     inverse shifted matrix.  Returns ``(True, c)`` on success, otherwise
-    ``(False, last c tried)``.
+    ``(False, last c tried)`` after ``_MAX_DOUBLINGS`` constants.
     """
     sym_a = symmetrize(mat_a, "weight")
     sym_coeff = symmetrize(shifted_coeff, "shifted coefficient")
@@ -260,7 +260,7 @@ def sufficient_semibounded(
     invertible = bool(min(np.abs(shifted_vals)) > kernel_tol(n, shifted_norm))
 
     c = _sym_norm(sym_b) + 1.0
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         candidate_vals = np.linalg.eigvalsh(sym_coeff + c * resolvent_at_one)
         tau_pos = kernel_tol(n, float(np.max(np.abs(candidate_vals))))
         spectrum_clear = invertible and bool(

@@ -34,6 +34,7 @@ from formrep import (
     op_norm,
     resolvent_identity_residual,
     sgn_matrix,
+    shifted_coefficient,
     spectral_identity_residual,
     stability_suite,
     sufficient_definite,
@@ -64,7 +65,7 @@ def general_ensemble():
         result = associate_general(
             spec.matrices["A"], spec.matrices["H"], inv, probe_seed=seed
         )
-        assert result.certified
+        assert result.certificate.satisfied
         instances.append((spec.matrices["A"], spec.matrices["H"], inv, result))
     elapsed = time.perf_counter() - start
     return instances, elapsed
@@ -107,8 +108,8 @@ def test_criterion_2_second_representation(general_ensemble):
 def test_criterion_3a_gap_interval(general_ensemble):
     instances, _ = general_ensemble
     worst = min(
-        min_abs_eig(result.shifted_operator) - result.gap_radius
-        for *_, result in instances
+        min_abs_eig(result.operator + inv.matrix) - result.gap_radius
+        for *_, inv, result in instances
     )
     ok = worst >= -1e-8
     announce("3a", ok, f"worst interval margin {worst:.3e}")
@@ -172,7 +173,7 @@ def test_criterion_4_kernel_theorem(offdiag_ensemble):
 def test_criterion_5_direct_coefficient_identity(offdiag_ensemble):
     worst = 0.0
     for problem in offdiag_ensemble:
-        direct = direct_coefficient(problem, verify=False)
+        direct = direct_coefficient(problem)
         weight = problem.full_weight()
         grown = weight_sqrt(weight + np.eye(problem.dim))
         rebuilt = grown @ direct @ grown
@@ -246,16 +247,16 @@ def test_criterion_8_sufficient_criteria(general_ensemble):
         coeff = (coeff_frame * rng.uniform(0.1, 3.0, n)) @ coeff_frame.T
         root = weight_sqrt(weight)
         operator = root @ coeff @ root
-        assert sufficient_definite(weight, coeff, operator)
+        assert sufficient_definite(coeff, operator)
         defect = float(np.linalg.norm(sgn_matrix(operator, 1) - np.eye(n), 2))
         worst_sign_defect = max(worst_sign_defect, defect)
 
     # 50 semibounded instances through the certificate chain
     instances, _ = general_ensemble
     max_steps = 0
-    for weight, _, inv, result in instances[:50]:
+    for weight, coeff, inv, result in instances[:50]:
         ok, found = sufficient_semibounded(
-            weight, result.shifted_coefficient, result.operator, inv
+            weight, shifted_coefficient(weight, coeff, inv)[1], result.operator, inv
         )
         assert ok
         start_c = op_norm(result.operator) + 1.0

@@ -125,7 +125,7 @@ class TestAssociateGeneral:
         weight, coeff = counterexample_pair(1)
         result = associate_general(weight, coeff, DIAG_SPLIT, force=True)
         np.testing.assert_allclose(result.operator, coeff, atol=1e-14)
-        assert not result.certified
+        assert not result.certificate.satisfied
 
     def test_refusal_without_force(self):
         weight, coeff = counterexample_pair(1)
@@ -149,20 +149,13 @@ class TestAssociateGeneral:
             result.operator, inv.matrix @ weight, atol=1e-12 * op_norm(weight)
         )
 
-    def test_shifted_operator_built_as_exact_sum(self):
-        weight, coeff, inv = hypothesis_instance(9, seed=5)
-        result = associate_general(weight, coeff, inv)
-        np.testing.assert_array_equal(
-            result.shifted_operator, result.operator + inv.matrix
-        )
-
     def test_route_consistency_invariant(self):
         for seed in range(10):
             weight, coeff, inv = hypothesis_instance(6 + seed % 5, seed)
             result = associate_general(weight, coeff, inv)
             scale = (1.0 + op_norm(weight)) * op_norm(coeff)
             shifted_root = weight_sqrt(weight + np.eye(weight.shape[0]))
-            rebuilt = shifted_root @ result.shifted_coefficient @ shifted_root
+            rebuilt = shifted_root @ shifted_coefficient(weight, coeff, inv)[1] @ shifted_root
             defect = np.linalg.norm(rebuilt - inv.matrix - result.operator, 2)
             assert defect <= 1e-10 * scale
 
@@ -179,7 +172,7 @@ class TestGapMargin:
         weight = np.diag([0.5, 2.0, 0.0, 3.0])
         inv = make_involution(np.diag([1.0, 1.0, -1.0, -1.0]))
         result = associate_general(weight, inv.matrix, inv)
-        assert min_abs_eig(result.shifted_operator) == pytest.approx(1.0)
+        assert min_abs_eig(result.operator + inv.matrix) == pytest.approx(1.0)
         assert result.gap_radius == pytest.approx(1.0)
         assert gap_certificate_check(result, inv) == pytest.approx(0.0, abs=1e-12)
 

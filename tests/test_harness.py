@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from formrep import (
+    InternalCheckError,
     ProblemSpec,
     SpecFormatError,
     check_gap_hypothesis,
@@ -246,6 +247,15 @@ class TestRun:
         report = run(gen_random("offdiag", (4, 5), seed=6, kernel_dims=(1, 2)))
         assert report.passed
         assert report.kernel["theorem_dim"] == report.kernel["oracle_dim"]
+
+    def test_breached_direct_coefficient_is_check_failure(self, monkeypatch):
+        def breached(problem):
+            raise InternalCheckError("direct-coefficient identity breached")
+
+        monkeypatch.setattr(harness, "direct_coefficient", breached)
+        report = run(gen_random("offdiag", (6, 5), seed=1))
+        assert report.checks["direct_coefficient_identity"] is False
+        assert report.exit_code == 1
 
     def test_refused_hypothesis_is_check_failure(self):
         spec = gen_counterexample(1)

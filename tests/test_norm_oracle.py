@@ -100,7 +100,7 @@ def assembled(case):
         inv = make_involution(matrices["J"])
         return associate_general(matrices["A"], matrices["H"], inv), inv
     problem = offdiag_problem(matrices["A_plus"], matrices["A_minus"], matrices["T"])
-    return assemble_offdiag(problem), problem.splitting()
+    return assemble_offdiag(problem), problem.involution
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)

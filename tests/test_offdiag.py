@@ -1,9 +1,12 @@
 """Off-diagonal problems: assembly, direct coefficient, kernel formula."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from formrep import (
+    InternalCheckError,
     MatrixValidationError,
     NotPositiveSemidefiniteError,
     assemble_offdiag,
@@ -51,7 +54,7 @@ def coupling_kernel_pairs(problem):
 
 def similarity_route(problem):
     """``G [[I, T], [T*, -I]] G - J`` with ``G = (A+I)^(1/2)``: B as an n x n similarity."""
-    root, signs = problem.shifted_root, problem.splitting().matrix
+    root, signs = problem.shifted_root, problem.involution.matrix
     return root @ (signs + problem.full_coupling()) @ root - signs
 
 
@@ -93,7 +96,7 @@ class TestAssembleOffdiag:
         result = assemble_offdiag(problem)
         np.testing.assert_allclose(result.operator, np.zeros((2, 2)), atol=1e-15)
         np.testing.assert_allclose(
-            result.shifted_operator, np.diag([1.0, -1.0]), atol=1e-15
+            result.operator + problem.involution.matrix, np.diag([1.0, -1.0]), atol=1e-15
         )
         assert result.gap_radius == pytest.approx(1.0)
 
@@ -132,7 +135,7 @@ class TestAssembleOffdiag:
         value = form_evaluator(problem)
         weight = problem.full_weight()
         a_root = weight_sqrt(weight)
-        j_mat = problem.splitting().matrix
+        j_mat = problem.involution.matrix
         rng = np.random.default_rng(1)
         for _ in range(20):
             x = rng.standard_normal(problem.dim)
@@ -158,7 +161,6 @@ class TestClosedForm:
         result = assemble_offdiag(problem)
         operator = result.operator
         assert np.array_equal(operator, operator.T)
-        assert np.array_equal(result.shifted_operator, operator + problem.splitting().matrix)
         # Measured ||B - oracle|| / (n eps (1 + ||A||)(1 + ||T||)) on these cases: at most 1.01.
         eps = np.finfo(np.float64).eps
         weight_norm = np.linalg.norm(problem.full_weight(), 2)
@@ -208,7 +210,7 @@ class TestDirectCoefficient:
     def test_identity_against_multiplication_oracle(self):
         for seed in (0, 1, 2):
             problem = random_problem(seed, dims=(4, 4))
-            direct = direct_coefficient(problem, verify=False)
+            direct = direct_coefficient(problem)
             weight = problem.full_weight()
             vals, vecs = np.linalg.eigh(weight)
             grown = (vecs * np.sqrt(1.0 + np.clip(vals, 0.0, None))) @ vecs.T
@@ -216,7 +218,14 @@ class TestDirectCoefficient:
             operator = assemble_offdiag(problem).operator
             scale = (1.0 + op_norm(weight)) * (1.0 + problem.coupling_norm)
             assert np.linalg.norm(rebuilt - operator, 2) <= 1e-10 * scale
-            direct_coefficient(problem, verify=True)  # internal check agrees
+
+    def test_breached_identity_raises(self):
+        # Doubling (A+I)^(1/2) breaks B = (A+I)^(1/2) C (A+I)^(1/2): the defect is
+        # 8.7 against a bound of 6.3e-10 on this problem.
+        problem = random_problem(1, dims=(6, 5))
+        broken = dataclasses.replace(problem, shifted_root=2 * problem.shifted_root)
+        with pytest.raises(InternalCheckError, match="direct-coefficient identity breached"):
+            direct_coefficient(broken)
 
 
 class TestKernelTheorem:

@@ -32,6 +32,7 @@ from formrep import (
     shifted_coefficient,
     stability_suite,
     subspace_intersection,
+    sufficient_definite,
     sufficient_semibounded,
     symmetrize,
     weight_sqrt,
@@ -379,12 +380,12 @@ class TestSymmetrize:
 #: pair with its operator ``B`` and shifted coefficient ``C``, and a second
 #: weight block ``W``.
 _INV = canonical_involution(1, 1)
-_RESULT = associate_general(np.diag([1.0, 2.0]), np.array([[2.0, 0.5], [0.5, -3.0]]), _INV)
+_A, _H = np.diag([1.0, 2.0]), np.array([[2.0, 0.5], [0.5, -3.0]])
 _VALID = {
-    "A": np.diag([1.0, 2.0]),
-    "H": np.array([[2.0, 0.5], [0.5, -3.0]]),
-    "B": _RESULT.operator,
-    "C": _RESULT.shifted_coefficient,
+    "A": _A,
+    "H": _H,
+    "B": associate_general(_A, _H, _INV).operator,
+    "C": shifted_coefficient(_A, _H, _INV)[1],
     "W": np.eye(2),
 }
 #: Public entry -> (call on a dict of the matrices above, the matrices it validates).
@@ -397,6 +398,7 @@ _ENTRIES = {
     "second_rep_residual": (lambda m: second_rep_residual(m["A"], m["H"], m["B"]), "AHB"),
     "offdiag_problem": (lambda m: offdiag_problem(m["A"], m["W"], np.ones((2, 2))), "AW"),
     "stability_suite": (lambda m: stability_suite(m["A"], m["B"]), "AB"),
+    "sufficient_definite": (lambda m: sufficient_definite(m["H"], m["B"]), "HB"),
     "sufficient_semibounded": (
         lambda m: sufficient_semibounded(m["A"], m["C"], m["B"], _INV),
         "ACB",

@@ -120,17 +120,17 @@ class TestSufficientDefinite:
     def test_positive_coefficient(self):
         weight = np.diag([0.0, 1.0])
         operator = weight_sqrt(weight) @ np.eye(2) @ weight_sqrt(weight)
-        assert sufficient_definite(weight, np.eye(2), operator)
+        assert sufficient_definite(np.eye(2), operator)
 
     def test_negative_coefficient(self):
         weight = np.diag([0.5, 2.0])
         coeff = -2.0 * np.eye(2)
         root = weight_sqrt(weight)
-        assert sufficient_definite(weight, coeff, root @ coeff @ root)
+        assert sufficient_definite(coeff, root @ coeff @ root)
 
     def test_indefinite_inapplicable(self):
         coeff = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert not sufficient_definite(np.eye(2), coeff, coeff)
+        assert not sufficient_definite(coeff, coeff)
 
 
 class TestSufficientSemibounded:
@@ -156,7 +156,7 @@ class TestSufficientSemibounded:
         weight, coeff, inv = hypothesis_instance(10, seed=6)
         result = associate_general(weight, coeff, inv)
         ok, found = sufficient_semibounded(
-            weight, result.shifted_coefficient, result.operator, inv
+            weight, shifted_coefficient(weight, coeff, inv)[1], result.operator, inv
         )
         assert ok
         start = np.linalg.norm(result.operator, 2) + 1.0
