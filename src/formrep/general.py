@@ -365,13 +365,14 @@ def associate_general(
     via_shifted = shifted_root @ shifted @ shifted_root
     scale = (1.0 + weight.source_norm) * max(float(np.max(np.abs(h_vals))), 1e-300)
     route_gap = _norm2_above(via_shifted - inv.matrix - operator, 1e-10 * scale)
+    del shifted_root, via_shifted  # each n x n matrix is dropped after its last use
     if route_gap is not None:
         raise InternalCheckError(
             f"assembly routes disagree: ||(B~ - J) - B|| = {route_gap:.3e} "
             f"exceeds {1e-10 * scale:.3e}"
         )
     gap_radius = _min_abs(shifted)
-    del shifted_root, shifted, via_shifted  # each n x n matrix is dropped after its last use
+    del shifted
     decomp = _eigh(operator)
     first, second = _probe_residuals(
         _probe_blocks(weight.n, probe_seed),

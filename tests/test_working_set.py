@@ -4,7 +4,7 @@ Each n x n matrix of a run lives from its first use to its last: the
 stability suite builds its matrices one after another and drops each after
 its last use, the probe pairs are drawn one block at a time, and the run
 releases the involution and the offdiag problem before the suite (the
-result holds only ``B`` and the two decompositions the suite reads).  Traced peaks
+result holds only ``B`` and the decompositions the suite reads).  Traced peaks
 are taken on a second call (the first warms numpy's caches), with the inputs
 built before tracing starts.  Measured: a run peaks at 13.1 n^2 (general
 n=384) and 12.7 n^2 (offdiag p=q=192), set by the probe stage, where it
