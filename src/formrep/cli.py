@@ -20,7 +20,6 @@ from .harness import (
     load_spec,
     run,
     save_spec,
-    spec_to_dict,
 )
 
 
@@ -35,12 +34,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
         "--force",
         action="store_true",
         help="build the associated matrix even when the gap check refuses",
-    )
-    parser.add_argument(
-        "--json-out",
-        metavar="PATH",
-        default=None,
-        help="write the full report as JSON to PATH",
     )
 
 
@@ -75,6 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sizes as start..stop (inclusive) or a comma list, e.g. 1..5 or 1,3,5",
     )
     _common_flags(p_family)
+    for report_parser in (p_verify, p_kernel, p_stab, p_family):
+        report_parser.add_argument(
+            "--json-out", metavar="PATH", help="write the full report as JSON to PATH"
+        )
 
     p_gen = sub.add_parser("generate", help="write a seeded problem file")
     p_gen.add_argument("kind", choices=["general", "offdiag", "counterexample"])
@@ -182,10 +179,6 @@ def main(argv: list[str] | None = None) -> int:
             spec = _apply_overrides(spec, args)
             save_spec(spec, args.out)
             print(f"wrote {args.out}")
-            if args.json_out:
-                with open(args.json_out, "w", encoding="utf-8") as handle:
-                    json.dump(spec_to_dict(spec), handle, indent=2, sort_keys=True)
-                    handle.write("\n")
             return 0
 
         raise SpecFormatError(f"unknown command {args.command!r}")

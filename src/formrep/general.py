@@ -224,16 +224,18 @@ def shifted_coefficient(
     middle factor of ``B + J`` with respect to ``(A + I)^(1/2)``.
     """
     weight = _clamped_weight(symmetrize(mat_a, "weight"))
-    return _shifted_pair(weight, symmetrize(mat_h, "coefficient"), inv)
+    compressed, shifted = _shifted_pair(weight, symmetrize(mat_h, "coefficient"), inv)
+    return _hermitian(compressed), shifted
 
 
 def _shifted_pair(
     weight: SpectralDecomposition, sym_h: np.ndarray, inv: Involution
 ) -> tuple[np.ndarray, np.ndarray]:
+    """The raw product ``R H R`` and the shifted coefficient, exactly self-adjoint."""
     contraction = apply_fn(weight, lambda lam: np.sqrt(lam / (1.0 + lam)))
     resolvent_at_one = apply_fn(weight, lambda lam: 1.0 / (1.0 + lam))
     compressed = contraction @ sym_h @ contraction
-    return _hermitian(compressed), _hermitian(compressed + resolvent_at_one @ inv.matrix)
+    return compressed, _hermitian(compressed + resolvent_at_one @ inv.matrix)
 
 
 def _pairing(left: np.ndarray, right: np.ndarray) -> np.ndarray:

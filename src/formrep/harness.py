@@ -161,6 +161,9 @@ def spec_from_dict(raw: dict[str, Any]) -> ProblemSpec:
     tolerances_raw = raw.get("tolerances", {}) or {}
     if not isinstance(tolerances_raw, dict):
         raise SpecFormatError("tolerances must be an object of name -> number")
+    unknown = sorted(set(map(str, tolerances_raw)) - {"tol_scale"})
+    if unknown:
+        raise SpecFormatError(f"unknown tolerance {', '.join(unknown)}; the only one is tol_scale")
     tolerances = {str(k): _tolerance(str(k), v) for k, v in tolerances_raw.items()}
 
     matrices_raw = raw.get("matrices", {}) or {}

@@ -33,7 +33,7 @@ from .spectral import (
 #: Guard for the 2^n diagonal enumeration.
 MAX_ENUMERATION_DIM = 24
 
-#: Default relative commutation tolerance.
+#: Relative commutation tolerance of ``commutes`` and the gap check.
 COMMUTATION_TOL = 1e-10
 
 _EPS_FLOOR = float(np.finfo(np.float64).tiny)
@@ -141,18 +141,16 @@ def _validated(mat: np.ndarray, inv: Involution, name: str = "matrix") -> np.nda
     return sym
 
 
-def commutes(
-    inv: Involution, mat: np.ndarray, tol: float = COMMUTATION_TOL
-) -> tuple[bool, float]:
+def commutes(inv: Involution, mat: np.ndarray) -> tuple[bool, float]:
     """Check ``[J, M] = 0``; returns ``(verdict, ||JM - MJ||)``.
 
-    The verdict is true iff the commutator norm is at most ``tol * ||M||``.
+    The verdict is true iff the commutator norm is at most ``COMMUTATION_TOL * ||M||``.
     """
     sym = _validated(mat, inv)
     residual = _gram_norm(inv.matrix @ sym - sym @ inv.matrix)
     # max |M_ij| <= ||M||, so the entry bound settles most verdicts without an eigensolve.
-    ok = residual <= tol * max(float(np.max(np.abs(sym))), _EPS_FLOOR) or (
-        residual <= tol * max(_sym_norm(sym), _EPS_FLOOR)
+    ok = residual <= COMMUTATION_TOL * max(float(np.max(np.abs(sym))), _EPS_FLOOR) or (
+        residual <= COMMUTATION_TOL * max(_sym_norm(sym), _EPS_FLOOR)
     )
     return ok, residual
 

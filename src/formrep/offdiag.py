@@ -33,7 +33,7 @@ from .general import (
     _probe_residuals,
     _represented_side,
 )
-from .involution import Involution, _validated, canonical_involution
+from .involution import Involution, _validated
 from .spectral import (
     SpectralDecomposition,
     SubspaceBasis,
@@ -61,8 +61,9 @@ class OffDiagonalProblem:
     ``adjoint_kernel`` (``ker T*``) and ``coupling_kernel`` (``ker T``) share one SVD of ``T``.
     ``weight_plus`` / ``weight_minus`` are the clamped block decompositions
     made while validating, ``weight`` the block-diagonal one assembled from
-    them; every function of the weight is mapped from these: ``shifted_root``
-    is ``(A+I)^(1/2)``.  ``involution`` is the canonical splitting ``J``.
+    them.  ``(A+I)^(1/2)`` is block diagonal: ``shifted_roots`` holds its blocks
+    ``(G_plus, G_minus)``, ``G_pm = (A_pm + I)^(1/2)``, each mapped from its block's
+    decomposition.  The only n x n array held is ``weight.eigenvectors``.
     """
 
     diag_plus: np.ndarray
@@ -74,8 +75,7 @@ class OffDiagonalProblem:
     weight_plus: SpectralDecomposition
     weight_minus: SpectralDecomposition
     weight: SpectralDecomposition
-    shifted_root: np.ndarray
-    involution: Involution
+    shifted_roots: tuple[np.ndarray, np.ndarray]
 
     @property
     def dim_plus(self) -> int:
@@ -165,18 +165,18 @@ def offdiag_problem(
         weight_plus=weight_plus,
         weight_minus=weight_minus,
         weight=weight,
-        shifted_root=apply_fn(weight, lambda lam: np.sqrt(1.0 + lam)),
-        involution=canonical_involution(p, q),
+        shifted_roots=tuple(
+            apply_fn(half, lambda lam: np.sqrt(1.0 + lam)) for half in (weight_plus, weight_minus)
+        ),
     )
 
 
-def check_offdiagonal(
-    coupling_full: np.ndarray, inv: Involution, tol: float = OFFDIAG_TOL
-) -> tuple[bool, float]:
+def check_offdiagonal(coupling_full: np.ndarray, inv: Involution) -> tuple[bool, float]:
     """Check that a matrix is purely off-diagonal for a given splitting.
 
     Returns ``(verdict, residual)`` with ``residual`` the larger norm of
-    the two diagonal compressions ``P S P`` and ``P_perp S P_perp``.  The
+    the two diagonal compressions ``P S P`` and ``P_perp S P_perp``; the
+    verdict is true iff ``residual <= OFFDIAG_TOL * ||S||``.  The
     equivalent anticommutation test ``||JS + SJ|| = 2 * residual`` is
     computed as a cross-check.
     """
@@ -191,7 +191,7 @@ def check_offdiagonal(
             f"off-diagonality cross-check disagrees: anticommutator {anti:.3e} "
             f"vs block residual {residual:.3e}"
         )
-    return residual <= tol * max(norm, np.finfo(np.float64).tiny), residual
+    return residual <= OFFDIAG_TOL * max(norm, np.finfo(np.float64).tiny), residual
 
 
 def _form_scale(problem: OffDiagonalProblem) -> float:
@@ -204,32 +204,38 @@ def form_evaluator(problem: OffDiagonalProblem):
     The spectral factors are precomputed once; the returned callable is the independent
     side of every representation-residual comparison.  Given probe vectors it returns the
     form value; given probes stacked as the columns of two matrices it returns the value
-    of each column pair.  ``J`` acts as a sign on the rows, ``S`` through its block ``T``.
+    of each column pair.  Every factor is block diagonal, so each acts on its half of the
+    rows: ``A_pm^(1/2)`` (mapped per block), ``G_pm`` and ``T``; ``J`` acts as their sign.
     """
-    root, shifted_root = apply_fn(problem.weight, np.sqrt), problem.shifted_root
     p, coupling = problem.dim_plus, problem.coupling
+    root_plus = apply_fn(problem.weight_plus, np.sqrt)
+    root_minus = apply_fn(problem.weight_minus, np.sqrt)
+    grow_plus, grow_minus = problem.shifted_roots
 
     def value(x: np.ndarray, y: np.ndarray):
-        root_x, root_y = root @ x, root @ y
-        grown_x, grown_y = shifted_root @ x, shifted_root @ y
-        diag_part = _pairing(root_x[:p], root_y[:p]) - _pairing(root_x[p:], root_y[p:])
-        coupling_part = _pairing(grown_x[:p], coupling @ grown_y[p:])
-        return diag_part + coupling_part + _pairing(coupling @ grown_x[p:], grown_y[:p])
+        x_plus, x_minus, y_plus, y_minus = x[:p], x[p:], y[:p], y[p:]
+        plus_part = _pairing(root_plus @ x_plus, root_plus @ y_plus)
+        minus_part = _pairing(root_minus @ x_minus, root_minus @ y_minus)
+        coupling_part = _pairing(grow_plus @ x_plus, coupling @ (grow_minus @ y_minus))
+        coupling_part_adjoint = _pairing(coupling @ (grow_minus @ x_minus), grow_plus @ y_plus)
+        return plus_part - minus_part + coupling_part + coupling_part_adjoint
 
     return value
 
 
 def shifted_block_coefficient(problem: OffDiagonalProblem) -> np.ndarray:
     """The shifted coefficient ``[[I, T], [T*, -I]]``."""
-    return problem.involution.matrix + problem.full_coupling()
+    out = problem.full_coupling()
+    np.fill_diagonal(out, np.repeat([1.0, -1.0], (problem.dim_plus, problem.dim_minus)))
+    return out
 
 
 def _associated(problem: OffDiagonalProblem) -> np.ndarray:
-    """``B`` from its closed-form blocks, exactly symmetric; ``G_pm`` are in ``shifted_root``."""
-    p, root = problem.dim_plus, problem.shifted_root
+    """``B`` from its closed-form blocks, exactly symmetric: ``X = G_plus T G_minus``."""
+    p, (grow_plus, grow_minus) = problem.dim_plus, problem.shifted_roots
     operator = problem.full_weight()
     operator[p:, p:] *= -1.0
-    operator[:p, p:] = root[:p, :p] @ problem.coupling @ root[p:, p:]
+    operator[:p, p:] = grow_plus @ problem.coupling @ grow_minus
     operator[p:, :p] = operator[:p, p:].T
     return operator
 
@@ -270,13 +276,18 @@ def direct_coefficient(problem: OffDiagonalProblem) -> np.ndarray:
     Returns ``C = [[I - (A_plus + I)^-1, T], [T*, -I + (A_minus + I)^-1]]``,
     which satisfies ``B = (A+I)^(1/2) C (A+I)^(1/2)`` with no involution
     shift.  The identity is checked against the closed-form ``B`` to
-    ``1e-10 * scale``; a breach raises ``InternalCheckError``.
+    ``1e-10 * scale``, with each block of ``C`` scaled by ``G_pm`` on both
+    sides; a breach raises ``InternalCheckError``.
     """
     p = problem.dim_plus
     out = shifted_block_coefficient(problem)
     out[:p, :p] -= apply_fn(problem.weight_plus, lambda lam: 1.0 / (1.0 + lam))
     out[p:, p:] += apply_fn(problem.weight_minus, lambda lam: 1.0 / (1.0 + lam))
-    rebuilt = problem.shifted_root @ out @ problem.shifted_root
+    grow_plus, grow_minus = problem.shifted_roots
+    rebuilt = np.block([
+        [grow_plus @ out[:p, :p] @ grow_plus, grow_plus @ out[:p, p:] @ grow_minus],
+        [grow_minus @ out[p:, :p] @ grow_plus, grow_minus @ out[p:, p:] @ grow_minus],
+    ])
     tol = 1e-10 * _form_scale(problem)
     defect = _norm2_above(rebuilt - _associated(problem), tol)
     if defect is not None:
@@ -356,11 +367,10 @@ def _definitional_cross_check(
     tol = 1e-8 * (1.0 + problem.coupling_norm) * np.sqrt(
         1.0 + problem.weight.source_norm
     )
-    p = problem.dim_plus
-    # (A+I)^(1/2) is block diagonal, with blocks (A_pm + I)^(1/2).
+    grow_plus, grow_minus = problem.shifted_roots
     halves = (
-        ("plus", problem.shifted_root[:p, :p], problem.coupling.conj().T, annihilator_plus),
-        ("minus", problem.shifted_root[p:, p:], problem.coupling, annihilator_minus),
+        ("plus", grow_plus, problem.coupling.conj().T, annihilator_plus),
+        ("minus", grow_minus, problem.coupling, annihilator_minus),
     )
     for label, grown, adjoint, annihilator in halves:
         if annihilator.dim:

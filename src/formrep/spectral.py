@@ -34,8 +34,8 @@ def kernel_tol(n: int, norm: float, scale: float = 1.0) -> float:
     """Default kernel threshold policy: ``tau = n * eps * norm * scale``.
 
     Eigenvalues with magnitude at or below ``tau`` are treated as zero.
-    The policy is the central numerical decision of the library; every
-    routine that needs a threshold accepts an override.
+    The policy is the central numerical decision of the library: every
+    threshold is derived from it, and only ``nullspace`` accepts an override.
     """
     return n * EPS * norm * scale
 
@@ -290,12 +290,7 @@ def min_abs_eig(mat: np.ndarray) -> float:
     return _min_abs(symmetrize(mat))
 
 
-def resolvent_identity_residual(
-    mat_a: np.ndarray,
-    mat_b: np.ndarray,
-    point: float,
-    margin: float | None = None,
-) -> float:
+def resolvent_identity_residual(mat_a: np.ndarray, mat_b: np.ndarray, point: float) -> float:
     """Residual of the second resolvent identity at a common resolvent point.
 
     For resolvents ``R(M) = (point*I - M)^-1`` the identity
@@ -308,8 +303,8 @@ def resolvent_identity_residual(
     Raises
     ------
     ResolventPointError
-        If ``point`` is within ``margin`` of an eigenvalue of either input
-        (default margin: ``100 * n * eps * (||M|| + |point|)``).
+        If ``point`` lies within ``100 * n * eps * (||M|| + |point|)`` of an
+        eigenvalue of either input ``M``.
     """
     sym_a = symmetrize(mat_a, "first matrix")
     sym_b = symmetrize(mat_b, "second matrix")
@@ -320,9 +315,7 @@ def resolvent_identity_residual(
     n = sym_a.shape[0]
     for label, sym in (("first", sym_a), ("second", sym_b)):
         vals = np.linalg.eigvalsh(sym)
-        gap = margin
-        if gap is None:
-            gap = 100.0 * n * EPS * (float(np.max(np.abs(vals), initial=0.0)) + abs(point))
+        gap = 100.0 * n * EPS * (float(np.max(np.abs(vals), initial=0.0)) + abs(point))
         dist = np.abs(vals - point)
         nearest = int(np.argmin(dist))
         if dist[nearest] <= gap:
@@ -340,23 +333,20 @@ def resolvent_identity_residual(
     return float(max(first, second))
 
 
-def orthonormal_columns(vectors: np.ndarray, tol: float | None = None) -> SubspaceBasis:
-    """Orthonormalize columns, dropping directions below the rank tolerance."""
+def orthonormal_columns(vectors: np.ndarray) -> SubspaceBasis:
+    """Orthonormalize columns, dropping directions whose ``|R_ii|`` is at most the rank
+    tolerance ``max(shape) * eps * max |R_ii|`` of the QR factorization."""
     arr = np.asarray(vectors, dtype=np.complex128 if np.iscomplexobj(vectors) else np.float64)
     n = arr.shape[0]
     if arr.shape[1] == 0:
         return SubspaceBasis.trivial(n, dtype=arr.dtype)
     q_fac, r_fac = np.linalg.qr(arr)
     diag = np.abs(np.diag(r_fac))
-    if tol is None:
-        tol = max(arr.shape) * EPS * (float(diag.max()) if diag.size else 0.0)
-    keep = diag > tol
-    return SubspaceBasis(q_fac[:, keep])
+    tol = max(arr.shape) * EPS * (float(diag.max()) if diag.size else 0.0)
+    return SubspaceBasis(q_fac[:, diag > tol])
 
 
-def subspace_intersection(
-    first: SubspaceBasis, second: SubspaceBasis, tol_policy: float | None = None
-) -> SubspaceBasis:
+def subspace_intersection(first: SubspaceBasis, second: SubspaceBasis) -> SubspaceBasis:
     """Intersection of two subspaces of a common ambient space.
 
     Computed as the nullspace of ``(I - P1) + (I - P2)`` where ``P1, P2``
@@ -373,9 +363,7 @@ def subspace_intersection(
     eye = np.eye(n, dtype=np.result_type(first.vectors, second.vectors))
     gram = (eye - first.projector()) + (eye - second.projector())
     # The defect operator has norm <= 2; use an absolute threshold tied to it.
-    if tol_policy is None:
-        tol_policy = kernel_tol(n, 2.0, scale=8.0)
-    return _kernel_of(_eigh(_hermitian(gram)), tol_policy)
+    return _kernel_of(_eigh(_hermitian(gram)), kernel_tol(n, 2.0, scale=8.0))
 
 
 def principal_angle(first: SubspaceBasis, second: SubspaceBasis) -> float:

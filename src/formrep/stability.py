@@ -313,9 +313,7 @@ def spectral_identity_residual(left: np.ndarray, right: np.ndarray) -> float:
 
 
 def family_diagnostics(
-    generator: Callable[[int], tuple[np.ndarray, np.ndarray]],
-    sizes: Iterable[int],
-    zero_sign: int = 1,
+    generator: Callable[[int], tuple[np.ndarray, np.ndarray]], sizes: Iterable[int]
 ) -> FamilyDiagnostics:
     """Collect growth diagnostics for a truncation family.
 
@@ -323,9 +321,8 @@ def family_diagnostics(
     gap certificate, force-builds the associated matrix, and records the stability-suite
     norms, the operator norm, the weight condition number (a singular weight raises
     ``SingularMatrixError``) and the conjugated-coefficient norm (the finite-dimensional
-    proxy for coefficient-preserves-domain).
+    proxy for coefficient-preserves-domain).  The suite takes the sign of zero as ``+1``.
     """
-    s = _validate_zero_sign(zero_sign)
     sizes = list(sizes)
     for idx in sizes:
         if idx > MAX_FAMILY_INDEX:
@@ -368,7 +365,7 @@ def family_diagnostics(
         root = apply_fn(weight, np.sqrt)
         operator = _hermitian(root @ sym_h @ root)
         decomp = _eigh(operator)
-        report = _stability(weight, operator, decomp, s)
+        report = _stability(weight, operator, decomp, 1)
 
         grow = np.sqrt(1.0 + weight.eigenvalues)  # (A+I)^(1/2) H (A+I)^(-1/2) in the eigenbasis
         in_frame = weight.eigenvectors.conj().T @ sym_h @ weight.eigenvectors

@@ -42,8 +42,11 @@ from formrep.stability import _stability
 #: angles and two annihilator pairings.  The suite takes
 #: no SVD and maps no function with ``apply_fn``; its seven ``eigvalsh`` calls
 #: are the unit gap, three symmetric norms and three Gram matrices.
-#: ``(A+I)^(1/2)`` is mapped once per offdiag problem, and the second
-#: representation residual is read in the eigenbasis of ``B`` with no map.
+#: An offdiag run maps functions of its two weight blocks, never of the n x n
+#: weight: ``(A_pm + I)^(1/2)`` once per problem, ``A_pm^(1/2)`` for the form,
+#: ``(A_pm + I)^-1`` for the direct coefficient and ``(A_pm + I)^(-1/2)`` for the
+#: two annihilators, eight maps of size p or q.  The second representation
+#: residual is read in the eigenbasis of ``B`` with no map.
 #: ``[J, A]`` of a general run is settled by its Frobenius norm, with no
 #: ``eigvalsh``.  ``symmetrize`` validates each input matrix where it enters:
 #: ``J``, ``A`` and ``H`` of a general run; the two weight blocks of an offdiag
@@ -60,7 +63,7 @@ CASES = {
     "offdiag": (
         ("offdiag", (6, 5), 1, 0.5, (2, 1)),
         {
-            "eigh": 5, "eigvalsh": 8, "svd": 6, "apply_fn": 6, "symmetrize": 2,
+            "eigh": 5, "eigvalsh": 8, "svd": 6, "apply_fn": 8, "symmetrize": 2,
             "assemble_offdiag": 1,
         },
     ),

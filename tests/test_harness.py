@@ -42,6 +42,7 @@ MALFORMED = {
     "tol_scale_negative": ({"tolerances": {"tol_scale": -1}}, []),
     "tol_scale_zero": ({"tolerances": {"tol_scale": 0}}, []),
     "tol_scale_nan_string": ({"tolerances": {"tol_scale": "nan"}}, []),
+    "tolerance_unknown_name": ({"tolerances": {"tol_scal": 10}}, []),
     "seed_bool": ({"seed": True}, []),
     "force_string_false": ({"force": "false"}, []),
     "force_string_no": ({"force": "no"}, []),

@@ -25,6 +25,7 @@ import pytest
 from formrep import (
     assemble_offdiag,
     associate_general,
+    canonical_involution,
     check_offdiagonal,
     eig_sym,
     make_involution,
@@ -100,7 +101,7 @@ def assembled(case):
         inv = make_involution(matrices["J"])
         return associate_general(matrices["A"], matrices["H"], inv), inv
     problem = offdiag_problem(matrices["A_plus"], matrices["A_minus"], matrices["T"])
-    return assemble_offdiag(problem), problem.involution
+    return assemble_offdiag(problem), canonical_involution(problem.dim_plus, problem.dim_minus)
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)

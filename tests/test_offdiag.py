@@ -23,7 +23,7 @@ from formrep import (
     op_norm,
     principal_angle,
 )
-from formrep.spectral import random_orthogonal
+from formrep.spectral import apply_fn, random_orthogonal
 
 
 def random_problem(seed, dims=(4, 3), kernel_dims=(1, 1)):
@@ -54,7 +54,8 @@ def coupling_kernel_pairs(problem):
 
 def similarity_route(problem):
     """``G [[I, T], [T*, -I]] G - J`` with ``G = (A+I)^(1/2)``: B as an n x n similarity."""
-    root, signs = problem.shifted_root, problem.involution.matrix
+    root = apply_fn(problem.weight, lambda lam: np.sqrt(1.0 + lam))
+    signs = canonical_involution(problem.dim_plus, problem.dim_minus).matrix
     return root @ (signs + problem.full_coupling()) @ root - signs
 
 
@@ -96,7 +97,7 @@ class TestAssembleOffdiag:
         result = assemble_offdiag(problem)
         np.testing.assert_allclose(result.operator, np.zeros((2, 2)), atol=1e-15)
         np.testing.assert_allclose(
-            result.operator + problem.involution.matrix, np.diag([1.0, -1.0]), atol=1e-15
+            result.operator + canonical_involution(1, 1).matrix, np.diag([1.0, -1.0]), atol=1e-15
         )
         assert result.gap_radius == pytest.approx(1.0)
 
@@ -135,7 +136,7 @@ class TestAssembleOffdiag:
         value = form_evaluator(problem)
         weight = problem.full_weight()
         a_root = weight_sqrt(weight)
-        j_mat = problem.involution.matrix
+        j_mat = canonical_involution(problem.dim_plus, problem.dim_minus).matrix
         rng = np.random.default_rng(1)
         for _ in range(20):
             x = rng.standard_normal(problem.dim)
@@ -167,6 +168,26 @@ class TestClosedForm:
         scale = (1 + weight_norm) * (1 + np.linalg.norm(problem.coupling, 2))
         bound = 4 * problem.dim * eps * scale
         assert np.linalg.norm(operator - similarity_route(problem), 2) <= bound
+
+    @pytest.mark.parametrize("dims, seed", CLOSED_FORM_CASES)
+    def test_form_matches_the_full_space_maps(self, dims, seed):
+        # Oracle: the form from n x n maps of the whole weight, not from its blocks.
+        # Measured max |defect| / (n eps (1 + ||A||)(1 + ||T||)) on unit probes: at most 0.03.
+        problem = random_problem(seed or 0, dims=dims)
+        if seed is None:
+            problem = offdiag_problem(problem.diag_plus, problem.diag_minus, np.zeros(dims))
+        root = apply_fn(problem.weight, np.sqrt)
+        grown = apply_fn(problem.weight, lambda lam: np.sqrt(1.0 + lam))
+        signs = canonical_involution(problem.dim_plus, problem.dim_minus).matrix
+        xs, ys = np.random.default_rng(5).standard_normal((2, problem.dim, 16))
+        xs, ys = xs / np.linalg.norm(xs, axis=0), ys / np.linalg.norm(ys, axis=0)
+        expected = np.einsum("ij,ij->j", root @ xs, signs @ (root @ ys))
+        expected += np.einsum("ij,ij->j", problem.full_coupling() @ (grown @ xs), grown @ ys)
+        eps = np.finfo(np.float64).eps
+        weight_norm = np.linalg.norm(problem.full_weight(), 2)
+        scale = (1 + weight_norm) * (1 + np.linalg.norm(problem.coupling, 2))
+        got = form_evaluator(problem)(xs, ys)
+        assert np.max(np.abs(got - expected)) <= 4 * problem.dim * eps * scale
 
     @pytest.mark.parametrize("dims", [(5, 9), (9, 5), (8, 6), (6, 8), (7, 7), (12, 4)])
     def test_coupling_kernels_match_nullspace_oracle(self, dims):
@@ -223,7 +244,8 @@ class TestDirectCoefficient:
         # Doubling (A+I)^(1/2) breaks B = (A+I)^(1/2) C (A+I)^(1/2): the defect is
         # 8.7 against a bound of 6.3e-10 on this problem.
         problem = random_problem(1, dims=(6, 5))
-        broken = dataclasses.replace(problem, shifted_root=2 * problem.shifted_root)
+        doubled = tuple(2 * root for root in problem.shifted_roots)
+        broken = dataclasses.replace(problem, shifted_roots=doubled)
         with pytest.raises(InternalCheckError, match="direct-coefficient identity breached"):
             direct_coefficient(broken)
 
