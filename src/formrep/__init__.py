@@ -70,7 +70,6 @@ from .offdiag import (
     form_evaluator,
     kernel_via_theorem,
     offdiag_problem,
-    shifted_block_coefficient,
 )
 from .spectral import (
     SpectralDecomposition,

@@ -6,9 +6,11 @@ splitting, and the perturbation ``v`` couples the two half-spaces only.
 Every such ``v`` is carried by a bounded matrix ``S = [[0, T], [T*, 0]]``
 through ``v[x, y] = <S (A+I)^(1/2) x, (A+I)^(1/2) y>``.
 
-The shifted coefficient collapses to ``[[I, T], [T*, -I]]``, so with ``G_pm = (A_pm + I)^(1/2)``
-the associated matrix is ``B = [[A_plus, X], [X*, -A_minus]]``, ``X = G_plus T G_minus``, and
-its kernel is explicit:
+The shifted coefficient collapses to ``[[I, T], [T*, -I]]``, with eigenvalues ``+-(1 + s^2)^(1/2)``
+over the singular values ``s`` of ``T`` and ``+-1`` on the ``|p - q|`` padded directions: the
+splitting creates the gap, and its radius is read off the SVD of ``T``.  With
+``G_pm = (A_pm + I)^(1/2)`` the associated matrix is ``B = [[A_plus, X], [X*, -A_minus]]``,
+``X = G_plus T G_minus``, and its kernel is explicit:
 
     ker B = (ker A_plus  /\\  annihilator_plus)
         (+) (ker A_minus /\\  annihilator_minus)
@@ -39,7 +41,6 @@ from .spectral import (
     SubspaceBasis,
     _eigh,
     _kernel_of,
-    _min_abs,
     _norm2_above,
     _sym_norm,
     apply_fn,
@@ -58,7 +59,8 @@ class OffDiagonalProblem:
     """Validated data of an off-diagonal perturbation problem.
 
     ``coupling_norm`` is the spectral norm of ``S``, never taken on trust from the caller;
-    ``adjoint_kernel`` (``ker T*``) and ``coupling_kernel`` (``ker T``) share one SVD of ``T``.
+    ``adjoint_kernel`` (``ker T*``), ``coupling_kernel`` (``ker T``) and ``gap_radius``, the
+    smallest ``|eig|`` of ``[[I, T], [T*, -I]]``, ``(1 + s_min^2)^(1/2)``, share one SVD of ``T``.
     ``weight_plus`` / ``weight_minus`` are the clamped block decompositions
     made while validating, ``weight`` the block-diagonal one assembled from
     them.  ``(A+I)^(1/2)`` is block diagonal: ``shifted_roots`` holds its blocks
@@ -70,6 +72,7 @@ class OffDiagonalProblem:
     diag_minus: np.ndarray
     coupling: np.ndarray
     coupling_norm: float
+    gap_radius: float
     adjoint_kernel: SubspaceBasis
     coupling_kernel: SubspaceBasis
     weight_plus: SpectralDecomposition
@@ -126,8 +129,14 @@ def offdiag_problem(
     """Validate blocks and package an off-diagonal problem.
 
     Both diagonal blocks must be PSD up to the clamping tolerance; the
-    coupling may be any dense rectangular matrix of matching shape.
+    coupling may be any dense rectangular matrix of matching shape.  All
+    three are real: complex input raises ``MatrixValidationError``.
     """
+    for name, mat in (
+        ("plus weight block", diag_plus), ("minus weight block", diag_minus), ("coupling", coupling)
+    ):
+        if np.iscomplexobj(mat):
+            raise MatrixValidationError(f"{name} is complex; off-diagonal problems are real")
     sym_plus = symmetrize(diag_plus, "plus weight block")
     sym_minus = symmetrize(diag_minus, "minus weight block")
     weight_plus = _clamped_weight(sym_plus)
@@ -160,6 +169,7 @@ def offdiag_problem(
         diag_minus=sym_minus,
         coupling=coup,
         coupling_norm=norm,
+        gap_radius=float(np.sqrt(1.0 + squares[-1])),
         adjoint_kernel=adjoint_kernel,
         coupling_kernel=coupling_kernel,
         weight_plus=weight_plus,
@@ -223,13 +233,6 @@ def form_evaluator(problem: OffDiagonalProblem):
     return value
 
 
-def shifted_block_coefficient(problem: OffDiagonalProblem) -> np.ndarray:
-    """The shifted coefficient ``[[I, T], [T*, -I]]``."""
-    out = problem.full_coupling()
-    np.fill_diagonal(out, np.repeat([1.0, -1.0], (problem.dim_plus, problem.dim_minus)))
-    return out
-
-
 def _associated(problem: OffDiagonalProblem) -> np.ndarray:
     """``B`` from its closed-form blocks, exactly symmetric: ``X = G_plus T G_minus``."""
     p, (grow_plus, grow_minus) = problem.dim_plus, problem.shifted_roots
@@ -246,7 +249,7 @@ def assemble_offdiag(problem: OffDiagonalProblem, probe_seed: int = 0) -> Repres
     Builds ``B = (A+I)^(1/2) [[I, T], [T*, -I]] (A+I)^(1/2) - J`` as the closed form
     ``[[A_plus, X], [X*, -A_minus]]``, ``X = G_plus T G_minus``, and measures the first/second
     representation residuals against the form evaluated directly from the problem data.  The gap
-    certificate is automatic here: the splitting itself creates the gap with margin 1.
+    certificate is automatic here: the splitting creates the gap, of radius ``problem.gap_radius``.
     """
     operator = _associated(problem)
     decomp = _eigh(operator)
@@ -259,7 +262,7 @@ def assemble_offdiag(problem: OffDiagonalProblem, probe_seed: int = 0) -> Repres
     )
     return RepresentationResult(
         operator=operator,
-        gap_radius=_min_abs(shifted_block_coefficient(problem)),
+        gap_radius=problem.gap_radius,
         first_rep_residual=first,
         second_rep_residual=second,
         certificate=GapCertificate(
@@ -275,25 +278,24 @@ def direct_coefficient(problem: OffDiagonalProblem) -> np.ndarray:
 
     Returns ``C = [[I - (A_plus + I)^-1, T], [T*, -I + (A_minus + I)^-1]]``,
     which satisfies ``B = (A+I)^(1/2) C (A+I)^(1/2)`` with no involution
-    shift.  The identity is checked against the closed-form ``B`` to
-    ``1e-10 * scale``, with each block of ``C`` scaled by ``G_pm`` on both
-    sides; a breach raises ``InternalCheckError``.
+    shift.  Both sides have the off-diagonal blocks ``G_plus T G_minus``, so
+    the identity is checked on the diagonal ones, ``G_pm C_pm G_pm = +-A_pm``,
+    to ``1e-10 * scale``; a breach raises ``InternalCheckError``.
     """
     p = problem.dim_plus
-    out = shifted_block_coefficient(problem)
-    out[:p, :p] -= apply_fn(problem.weight_plus, lambda lam: 1.0 / (1.0 + lam))
-    out[p:, p:] += apply_fn(problem.weight_minus, lambda lam: 1.0 / (1.0 + lam))
-    grow_plus, grow_minus = problem.shifted_roots
-    rebuilt = np.block([
-        [grow_plus @ out[:p, :p] @ grow_plus, grow_plus @ out[:p, p:] @ grow_minus],
-        [grow_minus @ out[p:, :p] @ grow_plus, grow_minus @ out[p:, p:] @ grow_minus],
-    ])
+    out = problem.full_coupling()
     tol = 1e-10 * _form_scale(problem)
-    defect = _norm2_above(rebuilt - _associated(problem), tol)
-    if defect is not None:
-        raise InternalCheckError(
-            f"direct-coefficient identity breached: {defect:.3e} > {tol:.3e}"
-        )
+    halves = (
+        (slice(None, p), 1.0, problem.weight_plus, problem.shifted_roots[0], problem.diag_plus),
+        (slice(p, None), -1.0, problem.weight_minus, problem.shifted_roots[1], problem.diag_minus),
+    )
+    defect = 0.0
+    for part, sign, half, grown, diag in halves:
+        block = sign * (np.eye(half.n) - apply_fn(half, lambda lam: 1.0 / (1.0 + lam)))
+        out[part, part] = block
+        defect = max(defect, _norm2_above(grown @ block @ grown - sign * diag, tol) or 0.0)
+    if defect:
+        raise InternalCheckError(f"direct-coefficient identity breached: {defect:.3e} > {tol:.3e}")
     return out
 
 

@@ -45,8 +45,6 @@ FLAG_TOL = 1e-8
 #: Largest family index admitted to the exhaustive involution sweep.
 MAX_FAMILY_INDEX = 6
 
-_CONDITION_KEYS = ("i", "ii", "ii'", "iii", "iii'", "iv", "v")
-
 #: Shift constants ``sufficient_semibounded`` tries before it gives up.
 _MAX_DOUBLINGS = 60
 
@@ -68,10 +66,6 @@ class StabilityReport:
     sgn_invariance_residual: float
     shifted_gap: float
     conditions: Mapping[str, bool]
-
-    def all_conditions_agree(self) -> bool:
-        values = [self.conditions[key] for key in _CONDITION_KEYS]
-        return all(values) or not any(values)
 
 
 @dataclass(frozen=True)

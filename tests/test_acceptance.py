@@ -220,7 +220,6 @@ def test_criterion_7_stability_suite(general_ensemble):
         worst_inv = max(worst_inv, report.involution_residual)
         worst_pair = max(worst_pair, report.inverse_pair_residual)
         worst_gap = min(worst_gap, report.shifted_gap)
-        assert report.all_conditions_agree()
         assert all(report.conditions.values())
     ok = worst_inv <= 1e-10 and worst_pair <= 1e-10 and worst_gap >= 1.0 - 1e-10
     announce(

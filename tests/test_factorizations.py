@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import formrep.harness as harness
+import formrep.offdiag as offdiag
 import formrep.spectral as spectral
 from formrep import (
     assemble_offdiag,
@@ -31,12 +32,15 @@ from formrep import (
 from formrep.stability import _stability
 
 #: (spec arguments, expected counts).  ``assemble_offdiag`` runs once per
-#: offdiag run; the two block weights, the operator (decomposed once in
-#: assembly; the kernel oracle and the stability suite read that
-#: decomposition from the result) and the two kernel intersections account
-#: for its five ``eigh`` calls.  ``ker T*`` and ``ker T`` come from one full
-#: SVD of ``T``.  The general path takes no SVD: the norm of ``[J, A]`` comes
-#: from its Gram matrix.  The offdiag SVDs are that one of ``T`` and the
+#: offdiag run, and the closed-form ``B`` (``_associated``) is built once, in
+#: it: the direct-coefficient check compares diagonal blocks only.  The two
+#: block weights, the operator (decomposed once in assembly; the kernel
+#: oracle and the stability suite read that decomposition from the result)
+#: and the two kernel intersections account for its five ``eigh`` calls.
+#: ``ker T*``, ``ker T`` and the gap radius ``(1 + s_min^2)^(1/2)`` come from
+#: one full SVD of ``T``, so an offdiag run's seven ``eigvalsh`` calls are
+#: the stability suite's.  The general path takes no SVD: the norm of
+#: ``[J, A]`` comes from its Gram matrix.  The offdiag SVDs are that one of ``T`` and the
 #: reported norms of non-symmetric matrices: the coupling norm (kept as
 #: ``norm(T, 2)``, the SVD work formbench's tracer counts), two principal
 #: angles and two annihilator pairings.  The suite takes
@@ -57,14 +61,14 @@ CASES = {
         ("general", 16, 3),
         {
             "eigh": 3, "eigvalsh": 12, "svd": 0, "apply_fn": 4, "symmetrize": 3,
-            "assemble_offdiag": 0,
+            "assemble_offdiag": 0, "_associated": 0,
         },
     ),
     "offdiag": (
         ("offdiag", (6, 5), 1, 0.5, (2, 1)),
         {
-            "eigh": 5, "eigvalsh": 8, "svd": 6, "apply_fn": 8, "symmetrize": 2,
-            "assemble_offdiag": 1,
+            "eigh": 5, "eigvalsh": 7, "svd": 6, "apply_fn": 8, "symmetrize": 2,
+            "assemble_offdiag": 1, "_associated": 1,
         },
     ),
 }
@@ -95,6 +99,7 @@ def counts(monkeypatch):
     monkeypatch.setattr(
         harness, "assemble_offdiag", counted("assemble_offdiag", harness.assemble_offdiag)
     )
+    monkeypatch.setattr(offdiag, "_associated", counted("_associated", offdiag._associated))
     return tally
 
 

@@ -341,6 +341,13 @@ class TestCli:
     def test_family_comma_syntax(self):
         assert main(["family", "constant", "--sizes", "1,2"]) == 0
 
+    def test_family_range_above_the_size_cap_exit_two_one_line(self, capsys):
+        # The stop is checked before the range is built: no list of 10^18 sizes is allocated.
+        assert main(["family", "constant", "--sizes", "1..1000000000000000000"]) == 2
+        err = capsys.readouterr().err
+        cap = harness.MAX_FAMILY_SIZE
+        assert err == f"error: family sizes stop at {cap}, got '1..1000000000000000000'\n"
+
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_families_pass_with_finite_reports(self, name):
         assert main(["family", name, "--sizes", "1..6"]) == 0

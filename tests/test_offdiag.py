@@ -22,6 +22,7 @@ from formrep import (
     offdiag_problem,
     op_norm,
     principal_angle,
+    run,
 )
 from formrep.spectral import apply_fn, random_orthogonal
 
@@ -41,6 +42,20 @@ CLOSED_FORM_CASES = [((p, q), seed) for p, q in ((6, 5), (24, 20)) for seed in r
     ((9, 5), 2),
     ((7, 4), None),
 ]
+
+
+def closed_form_problem(dims, seed):
+    """The problem of a ``CLOSED_FORM_CASES`` entry."""
+    problem = random_problem(seed or 0, dims=dims)
+    if seed is None:
+        problem = offdiag_problem(problem.diag_plus, problem.diag_minus, np.zeros(dims))
+    return problem
+
+
+def coupling_with_singular_values(values):
+    """A square coupling ``U diag(values) V*`` with seeded random orthogonal ``U``, ``V``."""
+    rng = np.random.default_rng(11)
+    return (random_orthogonal(values.size, rng) * values) @ random_orthogonal(values.size, rng).T
 
 
 def coupling_kernel_pairs(problem):
@@ -152,13 +167,30 @@ class TestAssembleOffdiag:
         with pytest.raises(MatrixValidationError):
             offdiag_problem(np.eye(2), np.eye(2), np.zeros((3, 2)))
 
+    def test_rejects_complex_coupling(self):
+        coupling = np.array([[0.5, 0.0], [0.0, 0.5j]])
+        with pytest.raises(MatrixValidationError, match="^coupling is complex"):
+            offdiag_problem(np.eye(2), np.eye(2), coupling)
+
+    def test_rejects_complex_block(self):
+        block = np.array([[2.0, 1.0j], [-1.0j, 2.0]])  # Hermitian PSD
+        with pytest.raises(MatrixValidationError, match="^minus weight block is complex"):
+            offdiag_problem(np.eye(2), block, np.zeros((2, 2)))
+
+    def test_gap_check_at_a_tight_tol_scale(self):
+        # The closed-form radius is never below 1; the dense spectrum read 0.999999999999994
+        # here, which fails 1 - 1e-10 * 1e-5.
+        spec = gen_random("offdiag", (192, 192), 2, kernel_dims=(3, 2))
+        spec.tolerances["tol_scale"] = 1e-5
+        report = run(spec)
+        assert report.representation["gap_radius"] >= 1.0
+        assert report.checks["shifted_gap_at_least_one"]
+
 
 class TestClosedForm:
     @pytest.mark.parametrize("dims, seed", CLOSED_FORM_CASES)
     def test_matches_the_similarity_route(self, dims, seed):
-        problem = random_problem(seed or 0, dims=dims)
-        if seed is None:
-            problem = offdiag_problem(problem.diag_plus, problem.diag_minus, np.zeros(dims))
+        problem = closed_form_problem(dims, seed)
         result = assemble_offdiag(problem)
         operator = result.operator
         assert np.array_equal(operator, operator.T)
@@ -173,9 +205,7 @@ class TestClosedForm:
     def test_form_matches_the_full_space_maps(self, dims, seed):
         # Oracle: the form from n x n maps of the whole weight, not from its blocks.
         # Measured max |defect| / (n eps (1 + ||A||)(1 + ||T||)) on unit probes: at most 0.03.
-        problem = random_problem(seed or 0, dims=dims)
-        if seed is None:
-            problem = offdiag_problem(problem.diag_plus, problem.diag_minus, np.zeros(dims))
+        problem = closed_form_problem(dims, seed)
         root = apply_fn(problem.weight, np.sqrt)
         grown = apply_fn(problem.weight, lambda lam: np.sqrt(1.0 + lam))
         signs = canonical_involution(problem.dim_plus, problem.dim_minus).matrix
@@ -188,6 +218,23 @@ class TestClosedForm:
         scale = (1 + weight_norm) * (1 + np.linalg.norm(problem.coupling, 2))
         got = form_evaluator(problem)(xs, ys)
         assert np.max(np.abs(got - expected)) <= 4 * problem.dim * eps * scale
+
+    @pytest.mark.parametrize("dims, seed", CLOSED_FORM_CASES + [((40, 40), "known")])
+    def test_gap_radius_matches_the_dense_spectrum(self, dims, seed):
+        # Oracle: min |eig| of the dense shifted coefficient [[I, T], [T*, -I]].  The "known"
+        # coupling has singular values linspace(1, 0.5), so its radius is (1 + 0.25)^(1/2).
+        # Measured |defect| / (n eps) on these cases: at most 0.29.
+        if seed == "known":
+            coupling = coupling_with_singular_values(np.linspace(1.0, 0.5, dims[0]))
+            problem = offdiag_problem(np.eye(dims[0]), np.eye(dims[1]), coupling)
+            assert problem.gap_radius == pytest.approx(np.sqrt(1.25), rel=1e-14)
+        else:
+            problem = closed_form_problem(dims, seed)
+        shifted = problem.full_coupling()
+        np.fill_diagonal(shifted, np.repeat([1.0, -1.0], dims))
+        dense = np.min(np.abs(np.linalg.eigvalsh(shifted)))
+        eps = np.finfo(np.float64).eps
+        assert abs(problem.gap_radius - dense) <= 2 * problem.dim * eps
 
     @pytest.mark.parametrize("dims", [(5, 9), (9, 5), (8, 6), (6, 8), (7, 7), (12, 4)])
     def test_coupling_kernels_match_nullspace_oracle(self, dims):
@@ -202,10 +249,9 @@ class TestClosedForm:
     def test_coupling_kernel_threshold(self, factor, kernel_dim):
         # The smallest singular value s has s^2 = factor * kernel_tol(n, s_max^2), s_max = 1.
         n = 40
-        rng = np.random.default_rng(11)
         values = np.linspace(1.0, 0.5, n)
         values[-1] = np.sqrt(factor * kernel_tol(n, 1.0))
-        coupling = (random_orthogonal(n, rng) * values) @ random_orthogonal(n, rng).T
+        coupling = coupling_with_singular_values(values)
         problem = offdiag_problem(np.eye(n), np.eye(n), coupling)
         for basis, oracle in coupling_kernel_pairs(problem):
             assert basis.dim == oracle.dim == kernel_dim
