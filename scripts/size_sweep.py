@@ -1,4 +1,4 @@
-"""Wall time and peak memory of ``harness.run`` across problem sizes.
+"""Wall time and peak memory of ``harness.run``, and problem-file I/O, across problem sizes.
 
 Runs each size in its own Python process, so that its peak resident set
 size is its own: a general problem ``gen_random("general", n, SEED)`` for
@@ -6,10 +6,14 @@ each ``n`` in ``GENERAL_SIZES`` and an offdiag problem
 ``gen_random("offdiag", (p, p), SEED)`` for each ``p`` in ``OFFDIAG_SIZES``.
 Each process times ``REPEATS`` runs of ``harness.run`` on one generated
 spec and keeps the best, reads its peak RSS, and then traces one more run
-with ``tracemalloc``.  The JSON written to ``--out`` (or standard output)
-holds, per size, the best and all wall times in seconds, the peak RSS in
-MB, the traced peak of the extra run in units of ``n^2`` doubles (``n`` the
-problem dimension) and whether every run passed.
+with ``tracemalloc``.  After that, so that the peak RSS stays that of the
+runs, it times ``REPEATS`` ``save_spec`` calls writing the spec into a
+temporary directory and ``REPEATS`` ``load_spec`` calls reading it back.  The
+JSON written to ``--out`` (or standard output) holds, per size, the best and
+all wall times in seconds, the peak RSS in MB, the traced peak of the extra
+run in units of ``n^2`` doubles (``n`` the problem dimension), whether every
+run passed, the best and all ``save_spec`` and ``load_spec`` times in
+seconds, and the traced peak of one more ``save_spec`` in MB.
 
     python3 scripts/size_sweep.py --out sweep.json
 
@@ -26,6 +30,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -39,9 +44,9 @@ SEED = 0
 
 
 def measure(kind: str, size: int) -> dict:
-    """Best-of-``REPEATS`` ``harness.run`` on one problem, in this process."""
+    """Best-of-``REPEATS`` ``harness.run`` on one problem, then its file I/O, in this process."""
     sys.path.insert(0, str(SRC))
-    from formrep import gen_random, run
+    from formrep import gen_random, load_spec, run, save_spec
 
     spec = gen_random(kind, size if kind == "general" else (size, size), SEED)
     walls, passed = [], True
@@ -57,13 +62,28 @@ def measure(kind: str, size: int) -> dict:
     traced = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     n = size if kind == "general" else 2 * size
-    return {
+    result = {
         "best_s": min(walls),
         "runs_s": walls,
         "peak_rss_mb": peak_mb,
         "traced_peak_n2": traced / (8.0 * n * n),
         "passed": passed,
     }
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "spec.json")
+        calls = {"save": lambda: save_spec(spec, path), "load": lambda: load_spec(path)}
+        for label, call in calls.items():
+            times = []
+            for _ in range(REPEATS):
+                start = time.perf_counter()
+                call()
+                times.append(time.perf_counter() - start)
+            result[f"{label}_best_s"], result[f"{label}_runs_s"] = min(times), times
+        tracemalloc.start()
+        save_spec(spec, path)
+        result["save_traced_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
+    return result
 
 
 def main(argv: list[str] | None = None) -> int:

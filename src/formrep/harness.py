@@ -34,6 +34,8 @@ from .stability import _stability, family_diagnostics
 _KINDS = ("general", "offdiag", "family")
 _REQUIRED_MATRICES = {"general": ("A", "H", "J"), "offdiag": ("A_plus", "A_minus", "T")}
 _SQUARE_SYMMETRIC = {"A", "H", "J", "A_plus", "A_minus"}
+#: Rows of a matrix per ``%`` in ``save_spec``: no string it builds spans more rows.
+_WRITE_BLOCK = 256
 
 MAX_FAMILY_SIZE = 64
 #: Largest matrix dimension a generator draws or a problem file may hold.
@@ -86,12 +88,11 @@ class Report:
         return {**asdict(self), "passed": self.passed, "exit_code": self.exit_code}
 
 
-def _format_entry(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def _matrix_to_strings(arr: np.ndarray) -> list[list[str]]:
-    return [[_format_entry(v) for v in row] for row in np.atleast_2d(arr)]
+def _real(spec: ProblemSpec) -> ProblemSpec:
+    for name, mat in sorted(spec.matrices.items()):
+        if np.iscomplexobj(mat):
+            raise SpecFormatError(f"matrix {name} is complex: problem files hold real entries")
+    return spec
 
 
 def _strings_to_matrix(rows: Any, name: str) -> np.ndarray:
@@ -116,8 +117,8 @@ def _strings_to_matrix(rows: Any, name: str) -> np.ndarray:
 
 
 def _matrix_digest(arr: np.ndarray) -> dict[str, Any]:
-    """Shape and SHA-256 of the float64 C-order bytes: the report's echo of a matrix."""
-    data = np.ascontiguousarray(arr, dtype=np.float64)
+    """Shape and SHA-256 of the float64 (complex128 if complex) C-order bytes."""
+    data = np.ascontiguousarray(arr, np.complex128 if np.iscomplexobj(arr) else np.float64)
     return {"shape": list(data.shape), "sha256": hashlib.sha256(data.tobytes()).hexdigest()}
 
 
@@ -135,7 +136,9 @@ def _spec_dict(spec: ProblemSpec, encode: Callable[[np.ndarray], Any]) -> dict[s
 
 
 def spec_to_dict(spec: ProblemSpec) -> dict[str, Any]:
-    return _spec_dict(spec, _matrix_to_strings)
+    return _spec_dict(
+        _real(spec), lambda m: [["%.17g" % v for v in row] for row in np.atleast_2d(m).tolist()]
+    )
 
 
 def _tolerance(name: str, value: Any) -> float:
@@ -245,10 +248,22 @@ def load_spec(path: str) -> ProblemSpec:
 
 
 def save_spec(spec: ProblemSpec, path: str) -> None:
-    """Write a problem spec as deterministic, diff-friendly JSON."""
+    """Write ``json.dump(spec_to_dict(spec), indent=2, sort_keys=True)`` and a newline: json
+    renders the rest with ``{}`` for each matrix (no other value at that depth is an object),
+    and each matrix is formatted in its place, one ``%`` per ``_WRITE_BLOCK`` rows."""
+    rest = json.dumps(_spec_dict(_real(spec), lambda _: {}), indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(spec_to_dict(spec), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        for name, mat in sorted(spec.matrices.items()):
+            key, mat = f"\n    {json.dumps(name)}: ", np.atleast_2d(mat)
+            before, _, rest = rest.partition(key + "{}")
+            row = "\n      [" + ",".join(['\n        "%.17g"'] * mat.shape[1]) + "\n      ]"
+            handle.write(before + key + "[")
+            for start in range(0, len(mat), _WRITE_BLOCK):
+                rows = mat[start : start + _WRITE_BLOCK]
+                text = ",".join([row] * len(rows)) % tuple(rows.ravel().tolist())
+                handle.write("," + text if start else text)
+            handle.write("\n    ]")
+        handle.write(rest + "\n")
 
 
 # ----------------------------------------------------------------------

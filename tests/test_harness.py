@@ -73,6 +73,40 @@ MALFORMED = {
 }
 
 
+#: Entries a 17-significant-digit string must round-trip: signed zero, the least
+#: subnormal, the entry cap, a decimal with no exact binary form.
+EDGE_ENTRIES = np.array([[-0.0, 5e-324], [1e150, 0.1]])
+
+#: Specs whose files ``save_spec`` must write byte for byte as ``json.dump`` does.
+#: T of 256 rows fills one row block of the writer exactly; 257 rows cross the seam.
+WRITTEN_SPECS = {
+    "general": lambda: gen_random("general", 5, seed=0),
+    "offdiag_p_ne_q": lambda: gen_random("offdiag", (7, 3), seed=2),
+    "offdiag_1x1": lambda: gen_random("offdiag", (1, 1), seed=1),
+    "offdiag_256_rows": lambda: gen_random("offdiag", (256, 2), seed=0),
+    "offdiag_257_rows": lambda: gen_random("offdiag", (257, 2), seed=1),
+    "counterexample": lambda: gen_counterexample(3),
+    "family_with_tolerances": lambda: ProblemSpec(
+        kind="family", family_name="constant", sizes=[1, 2, 3], tolerances={"tol_scale": 0.5}
+    ),
+    "edge_entries_with_tolerances": lambda: ProblemSpec(
+        kind="general",
+        matrices={"A": EDGE_ENTRIES, "H": np.array([[1, 2]]), "J": EDGE_ENTRIES.T},
+        tolerances={"tol_scale": 2.5},
+    ),
+}
+
+#: A complex Hermitian coefficient: H = diag(1, -1) + i [[0, 1], [-1, 0]].
+COMPLEX_H = np.diag([1.0, -1.0]) + 1j * np.array([[0.0, 1.0], [-1.0, 0.0]])
+COMPLEX_REFUSAL = "^matrix H is complex: problem files hold real entries$"
+
+
+def complex_spec(coeff=COMPLEX_H):
+    return ProblemSpec(
+        kind="general", matrices={"A": np.eye(2), "H": coeff, "J": np.diag([1.0, -1.0])}
+    )
+
+
 def write_json(tmp_path, payload, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -180,6 +214,41 @@ class TestRoundTrip:
         assert isinstance(entry, str)
         assert float(entry) == spec.matrices["A"][0, 0]
 
+    @pytest.mark.parametrize("case", sorted(WRITTEN_SPECS))
+    def test_bytes_match_json_dump(self, tmp_path, case):
+        spec = WRITTEN_SPECS[case]()
+        oracle = tmp_path / "oracle.json"
+        with open(oracle, "w", encoding="utf-8") as handle:
+            json.dump(spec_to_dict(spec), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        path = tmp_path / "spec.json"
+        save_spec(spec, str(path))
+        assert path.read_bytes() == oracle.read_bytes()
+
+    def test_edge_entries_keep_the_format_rule(self):
+        spec = WRITTEN_SPECS["edge_entries_with_tolerances"]()
+        payload = spec_to_dict(spec)
+        strings = payload["matrices"]["A"]
+        assert strings == [[format(float(v), ".17g") for v in row] for row in EDGE_ENTRIES]
+        assert strings == [
+            ["-0", "4.9406564584124654e-324"],
+            ["9.9999999999999998e+149", "0.10000000000000001"],
+        ]
+        assert np.array(strings, dtype=float).tobytes() == EDGE_ENTRIES.tobytes()
+        assert payload["matrices"]["H"] == [["1", "2"]]
+
+    def test_complex_matrix_refused_by_spec_to_dict(self):
+        with pytest.raises(SpecFormatError, match=COMPLEX_REFUSAL):
+            spec_to_dict(complex_spec())
+
+    def test_complex_matrix_refused_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "existing.json"
+        save_spec(gen_random("general", 2, seed=0), str(path))
+        before = path.read_bytes()
+        with pytest.raises(SpecFormatError, match=COMPLEX_REFUSAL):
+            save_spec(complex_spec(), str(path))
+        assert path.read_bytes() == before
+
 
 class TestGenerators:
     def test_counterexample_blocks(self):
@@ -278,6 +347,26 @@ class TestRun:
         first.pop("wall_time_s")
         second.pop("wall_time_s")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    def test_spec_echo_digest_sees_imaginary_parts(self):
+        report = run(complex_spec())
+        other = run(complex_spec(np.diag([1.0, -1.0]) + 2j * np.array([[0.0, 1.0], [-1.0, 0.0]])))
+        assert report.passed and other.passed
+        echo, other_echo = report.spec_echo["matrices"], other.spec_echo["matrices"]
+        assert echo["H"]["sha256"] == hashlib.sha256(COMPLEX_H.tobytes()).hexdigest()
+        assert echo["H"]["sha256"] != other_echo["H"]["sha256"]
+        assert echo["A"] == other_echo["A"] and echo["J"] == other_echo["J"]
+
+    def test_spec_echo_digest_of_a_real_matrix_is_its_float64_bytes(self):
+        spec = gen_counterexample(2)
+        spec.matrices["J"] = np.diag([1, -1, 1, -1])  # integer entries are echoed as float64
+        echo = run(spec).spec_echo["matrices"]
+        for name, mat in spec.matrices.items():
+            data = np.ascontiguousarray(mat, dtype=np.float64)
+            assert echo[name] == {
+                "shape": list(data.shape),
+                "sha256": hashlib.sha256(data.tobytes()).hexdigest(),
+            }
 
     def test_unknown_family(self):
         spec = ProblemSpec(kind="family", family_name="nope", sizes=[1])
