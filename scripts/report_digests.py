@@ -7,9 +7,12 @@ parity problems of ``tests/test_parity.py`` (``PARITY_CASES``), general
 n=384 and offdiag p=q=192 with kernel dimensions (3, 2) (the benchmark's
 shapes, spec seeds ``LARGE_SEEDS``), ``gen_counterexample(3)`` forced and
 refused, and both families at sizes ``FAMILY_SIZES``.  The JSON written to
-``--out`` (or standard output) maps each case to its digest.
+``--out`` (or standard output) maps each case to its digest.  ``--compare``
+reads such a file, written on another tree, prints each case whose digest
+differs from it (a case on one side only differs too) and exits 1 if any does.
 
     python3 scripts/report_digests.py --out digests.json
+    python3 scripts/report_digests.py --compare digests.json
 
 formrep is imported from the ``src`` directory of the checkout that holds
 this script, so a copy of the script measures the tree it is copied into.
@@ -73,7 +76,9 @@ def digest(report) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out")
+    parser.add_argument("--compare", metavar="FILE")
     args = parser.parse_args(argv)
+    other = json.loads(Path(args.compare).read_text()) if args.compare else None
 
     sys.path.insert(0, str(SRC))
     from formrep import run
@@ -82,9 +87,16 @@ def main(argv: list[str] | None = None) -> int:
     text = json.dumps(digests, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")
-    else:
+    elif other is None:
         print(text)
-    return 0
+    if other is None:
+        return 0
+    labels = sorted(digests.keys() | other.keys())
+    differ = [label for label in labels if digests.get(label) != other.get(label)]
+    for label in differ:
+        print(f"differs: {label}")
+    print(f"{len(labels) - len(differ)} of {len(labels)} identical")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

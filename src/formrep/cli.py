@@ -23,19 +23,54 @@ from .harness import (
     save_spec,
 )
 
+FLAGS = {
+    "--tol-scale": {"type": float, "help": "multiply every check tolerance by this factor"},
+    "--force": {
+        "action": "store_true",
+        "help": "build the associated matrix even when the gap check refuses",
+    },
+    "--json-out": {"metavar": "PATH", "help": "write the full report as JSON to PATH"},
+    "--seed": {"type": int, "default": 0},
+    "--alpha": {"type": float, "default": 0.5, "help": "gap margin target"},
+    "--kernel-dims": {"default": "1,1", "help": "kernel dims k_plus,k_minus"},
+    "--out": {"required": True, "help": "output path for the problem JSON"},
+}
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tol-scale",
-        type=float,
-        default=None,
-        help="multiply every check tolerance by this factor",
-    )
-    parser.add_argument(
-        "--force",
-        action="store_true",
-        help="build the associated matrix even when the gap check refuses",
-    )
+#: Commands that run a problem file: the kinds each accepts, its help, the
+#: check-name prefixes it prints and its flags.  Each also prints
+#: ``hypothesis_certified``, so a refused certificate fails every one of them.
+REPORT_COMMANDS = {
+    "verify": (
+        ("general", "offdiag", "family"),
+        "run the full pipeline for a problem file",
+        "",
+        ("--tol-scale", "--force", "--json-out"),
+    ),
+    "kernel": (
+        ("offdiag",),
+        "kernel report for an off-diagonal problem",
+        "kernel",
+        ("--tol-scale", "--json-out"),
+    ),
+    "stability": (
+        ("general", "offdiag"),
+        "domain-stability suite for a problem file",
+        ("stability", "shifted"),
+        ("--tol-scale", "--force", "--json-out"),
+    ),
+}
+
+#: ``generate`` sub-commands: the meaning of ``--n`` and the flags each reads.
+GENERATORS = {
+    "general": ("dimension", ("--seed", "--alpha", "--out", "--tol-scale", "--force")),
+    "offdiag": ("block sizes p,q", ("--seed", "--kernel-dims", "--out", "--tol-scale")),
+    "counterexample": ("truncation size", ("--out", "--tol-scale")),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags: tuple[str, ...]) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **FLAGS[flag])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,18 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run the full pipeline for a problem file")
-    p_verify.add_argument("spec", help="problem JSON file")
-    _common_flags(p_verify)
-
-    p_kernel = sub.add_parser("kernel", help="kernel report for an off-diagonal problem")
-    p_kernel.add_argument("spec", help="problem JSON file (kind offdiag)")
-    _common_flags(p_kernel)
-
-    p_stab = sub.add_parser("stability", help="domain-stability suite for a problem file")
-    p_stab.add_argument("spec", help="problem JSON file")
-    _common_flags(p_stab)
+    for command, (kinds, text, _, flags) in REPORT_COMMANDS.items():
+        p_report = sub.add_parser(command, help=text)
+        p_report.add_argument("spec", help=f"problem JSON file (kind {' or '.join(kinds)})")
+        _add_flags(p_report, flags)
 
     p_family = sub.add_parser("family", help="truncation-family diagnostics by name")
     p_family.add_argument("name", help="family name (counterexample, constant)")
@@ -68,23 +95,14 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="sizes as start..stop (inclusive) or a comma list, e.g. 1..5 or 1,3,5",
     )
-    _common_flags(p_family)
-    for report_parser in (p_verify, p_kernel, p_stab, p_family):
-        report_parser.add_argument(
-            "--json-out", metavar="PATH", help="write the full report as JSON to PATH"
-        )
+    _add_flags(p_family, ("--tol-scale", "--json-out"))
 
     p_gen = sub.add_parser("generate", help="write a seeded problem file")
-    p_gen.add_argument("kind", choices=["general", "offdiag", "counterexample"])
-    p_gen.add_argument("--n", required=True, help="dimension, or p,q for offdiag blocks")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--alpha", type=float, default=0.5, help="gap margin target")
-    p_gen.add_argument(
-        "--kernel-dims", default="1,1", help="kernel dims k_plus,k_minus for offdiag"
-    )
-    p_gen.add_argument("--out", required=True, help="output path for the problem JSON")
-    _common_flags(p_gen)
-
+    gen_sub = p_gen.add_subparsers(dest="kind", required=True)
+    for kind, (n_help, flags) in GENERATORS.items():
+        p_kind = gen_sub.add_parser(kind, help=f"write a {kind} problem file")
+        p_kind.add_argument("--n", required=True, help=n_help)
+        _add_flags(p_kind, flags)
     return parser
 
 
@@ -111,7 +129,7 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
 def _apply_overrides(spec: ProblemSpec, args: argparse.Namespace) -> ProblemSpec:
     if args.tol_scale is not None:
         spec.tolerances["tol_scale"] = _tolerance("tol_scale", args.tol_scale)
-    if args.force:
+    if getattr(args, "force", False):
         spec.force = True
     return spec
 
@@ -130,46 +148,6 @@ def _emit(report: Report, json_out: str | None) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            report = run(_apply_overrides(load_spec(args.spec), args))
-            return _emit(report, args.json_out)
-
-        if args.command == "kernel":
-            spec = _apply_overrides(load_spec(args.spec), args)
-            if spec.kind != "offdiag":
-                raise SpecFormatError(
-                    f"kernel command requires kind offdiag, got {spec.kind!r}"
-                )
-            report = run(spec)
-            report.checks = {
-                name: ok
-                for name, ok in report.checks.items()
-                if name.startswith("kernel")
-            }
-            return _emit(report, args.json_out)
-
-        if args.command == "stability":
-            spec = _apply_overrides(load_spec(args.spec), args)
-            if spec.kind == "family":
-                raise SpecFormatError("stability command needs a general or offdiag problem")
-            report = run(spec)
-            report.checks = {
-                name: ok
-                for name, ok in report.checks.items()
-                if name in ("stability_conditions_agree", "shifted_unit_gap")
-                or name.startswith("shifted_gap")
-            }
-            return _emit(report, args.json_out)
-
-        if args.command == "family":
-            spec = ProblemSpec(
-                kind="family",
-                family_name=args.name,
-                sizes=_parse_sizes(args.sizes),
-            )
-            report = run(_apply_overrides(spec, args))
-            return _emit(report, args.json_out)
-
         if args.command == "generate":
             if args.kind == "counterexample":
                 spec = gen_counterexample(int(args.n))
@@ -178,13 +156,28 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 dims = _parse_pair(args.n, "--n")
                 kdims = _parse_pair(args.kernel_dims, "--kernel-dims")
-                spec = gen_random("offdiag", dims, args.seed, args.alpha, kdims)
-            spec = _apply_overrides(spec, args)
-            save_spec(spec, args.out)
+                spec = gen_random("offdiag", dims, args.seed, kernel_dims=kdims)
+            save_spec(_apply_overrides(spec, args), args.out)
             print(f"wrote {args.out}")
             return 0
 
-        raise SpecFormatError(f"unknown command {args.command!r}")
+        if args.command == "family":
+            spec = ProblemSpec(kind="family", family_name=args.name, sizes=_parse_sizes(args.sizes))
+            prefixes = ""
+        else:
+            kinds, _, prefixes, _ = REPORT_COMMANDS[args.command]
+            spec = load_spec(args.spec)
+            if spec.kind not in kinds:
+                raise SpecFormatError(
+                    f"{args.command} command needs kind {' or '.join(kinds)}, got {spec.kind!r}"
+                )
+        report = run(_apply_overrides(spec, args))
+        report.checks = {
+            name: ok
+            for name, ok in report.checks.items()
+            if name.startswith(prefixes) or name == "hypothesis_certified"
+        }
+        return _emit(report, args.json_out)
     except (FormrepError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

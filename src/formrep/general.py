@@ -58,7 +58,9 @@ class GapCertificate:
 
     ``lambda_min_plus`` / ``lambda_max_minus`` are the extreme eigenvalues
     of the plus/minus blocks of ``H`` (uncapped, for diagnostics).  When
-    both margins are positive the certificate is satisfied and
+    both margins ``lambda_min_plus`` and ``-lambda_max_minus`` exceed
+    ``kernel_tol`` of their block (its dimension and largest ``|eigenvalue|``),
+    so that rounding cannot decide their sign, the certificate is satisfied and
     ``alpha_star = min(1, lambda_min_plus, -lambda_max_minus)``; otherwise
     ``alpha_star`` is None and ``refusal`` names the failed inequality.
 
@@ -195,13 +197,10 @@ def _certify(
             f"involution does not commute with the weight: ||[J, A]|| = {commutator:.3e}"
         )
     blocks = _block_decompose(sym_h, inv)
-    lambda_min_plus = float(np.linalg.eigvalsh(blocks.plus_block)[0])
-    lambda_max_minus = float(np.linalg.eigvalsh(blocks.minus_block)[-1])
-    refusal = None
-    if lambda_min_plus <= 0.0:
-        refusal = f"plus block is not uniformly positive: min eigenvalue {lambda_min_plus:.6e}"
-    elif lambda_max_minus >= 0.0:
-        refusal = f"minus block is not uniformly negative: max eigenvalue {lambda_max_minus:.6e}"
+    plus_vals = np.linalg.eigvalsh(blocks.plus_block)
+    minus_vals = np.linalg.eigvalsh(blocks.minus_block)
+    lambda_min_plus, lambda_max_minus = float(plus_vals[0]), float(minus_vals[-1])
+    refusal = _margin_refusal("plus", plus_vals, 1) or _margin_refusal("minus", minus_vals, -1)
     alpha_star = float(min(1.0, lambda_min_plus, -lambda_max_minus))
     certificate = GapCertificate(
         lambda_min_plus=lambda_min_plus,
@@ -211,6 +210,20 @@ def _certify(
         refusal=refusal,
     )
     return certificate, sym_h, weight, h_vals
+
+
+def _margin_refusal(block: str, vals: np.ndarray, sign: int) -> str | None:
+    """Why an H-block with eigenvalues ``vals`` does not certify, or None when its margin,
+    the least of ``sign * vals``, exceeds ``kernel_tol`` of the block."""
+    margin = float(np.min(sign * vals))
+    tau = kernel_tol(len(vals), float(np.max(np.abs(vals))))
+    if margin > tau:
+        return None
+    side, extreme = ("positive", "min") if sign > 0 else ("negative", "max")
+    detail = f"{extreme} eigenvalue {sign * margin:.6e}"
+    if margin >= -tau:
+        return f"{block} block margin is within rounding of zero: {detail}, tolerance {tau:.3e}"
+    return f"{block} block is not uniformly {side}: {detail}"
 
 
 def shifted_coefficient(

@@ -92,6 +92,8 @@ def _real(spec: ProblemSpec) -> ProblemSpec:
     for name, mat in sorted(spec.matrices.items()):
         if np.iscomplexobj(mat):
             raise SpecFormatError(f"matrix {name} is complex: problem files hold real entries")
+        if 0 in np.shape(mat):
+            raise SpecFormatError(f"matrix {name} is empty: problem files hold non-empty matrices")
     return spec
 
 

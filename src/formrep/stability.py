@@ -241,25 +241,27 @@ def sufficient_semibounded(
     ``c`` for which the shifted coefficient plus ``c (A + I)^(-1)`` is
     strictly positive and ``-1/c`` stays clear of the spectrum of the
     inverse shifted matrix.  Returns ``(True, c)`` on success, otherwise
-    ``(False, last c tried)`` after ``_MAX_DOUBLINGS`` constants.
+    ``(False, last c tried)`` after ``_MAX_DOUBLINGS`` constants, the same
+    value returned at once when ``B + J`` is singular.
     """
     sym_a = symmetrize(mat_a, "weight")
     sym_coeff = symmetrize(shifted_coeff, "shifted coefficient")
     sym_b = symmetrize(operator, "operator")
     n = sym_a.shape[0]
-    resolvent_at_one = apply_fn(_clamped_weight(sym_a), lambda lam: 1.0 / (1.0 + lam))
+    weight = _clamped_weight(sym_a)
     shifted_vals = np.linalg.eigvalsh(sym_b + inv.matrix)
     shifted_norm = float(np.max(np.abs(shifted_vals), initial=0.0))
-    tau_inverse = kernel_tol(n, 1.0 / max(min(np.abs(shifted_vals)), 1e-300))
-    invertible = bool(min(np.abs(shifted_vals)) > kernel_tol(n, shifted_norm))
-
     c = _sym_norm(sym_b) + 1.0
+    if not min(np.abs(shifted_vals)) > kernel_tol(n, shifted_norm):
+        # The spectrum of a singular B + J is never clear, so no constant can certify.
+        return False, float(c * 2.0 ** (_MAX_DOUBLINGS - 1))
+
+    tau_inverse = kernel_tol(n, 1.0 / max(min(np.abs(shifted_vals)), 1e-300))
+    resolvent_at_one = apply_fn(weight, lambda lam: 1.0 / (1.0 + lam))
     for _ in range(_MAX_DOUBLINGS):
         candidate_vals = np.linalg.eigvalsh(sym_coeff + c * resolvent_at_one)
         tau_pos = kernel_tol(n, float(np.max(np.abs(candidate_vals))))
-        spectrum_clear = invertible and bool(
-            np.min(np.abs(1.0 / shifted_vals - (-1.0 / c))) > tau_inverse
-        )
+        spectrum_clear = bool(np.min(np.abs(1.0 / shifted_vals - (-1.0 / c))) > tau_inverse)
         if candidate_vals[0] > tau_pos and spectrum_clear:
             return True, float(c)
         c *= 2.0

@@ -14,6 +14,7 @@ from formrep import (
     first_rep_residual,
     gap_certificate_check,
     gen_random,
+    kernel_tol,
     make_involution,
     min_abs_eig,
     op_norm,
@@ -85,6 +86,43 @@ class TestGapCertificate:
             else:
                 with pytest.raises(CommutationError, match=f"= {2 * coupling:.3e}$"):
                     check_gap_hypothesis(weight, inv.matrix, inv)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factor", [0.0, 0.5, -0.5, 2.0, -2.0])
+    def test_margin_within_rounding_of_zero_does_not_certify(self, sign, factor):
+        # The plus block diag(m, 1, 2) has the margin m = factor * tau exactly, with
+        # tau = kernel_tol(3, 2); coupling it to the first minus direction keeps H
+        # invertible at m = 0.  sign = -1 turns it into the minus block.
+        tau = kernel_tol(3, 2.0)
+        coeff = np.zeros((5, 5))
+        coeff[:3, :3] = np.diag([factor * tau, 1.0, 2.0])
+        coeff[3:, 3:] = -np.eye(2)
+        coeff[0, 3] = coeff[3, 0] = 1.0
+        inv = make_involution(sign * np.diag([1.0, 1.0, 1.0, -1.0, -1.0]))
+        cert = check_gap_hypothesis(np.eye(5), sign * coeff, inv)
+        block = "plus" if sign > 0 else "minus"
+        assert cert.satisfied == (factor > 1.0)
+        if factor > 1.0:
+            assert cert.alpha_star == factor * tau
+        elif factor < -1.0:
+            assert cert.refusal.startswith(f"{block} block is not uniformly")
+        else:
+            assert cert.refusal.startswith(f"{block} block margin is within rounding of zero")
+
+    def test_singular_plus_block_is_never_certified(self):
+        # The plus block Q diag(0, U(1, 3)) Q* is singular before rounding; its computed
+        # least eigenvalue lands on either side of zero, within kernel_tol(20, 3) of it.
+        refusals = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            frame = np.linalg.qr(rng.standard_normal((20, 20)))[0]
+            plus = (frame * np.concatenate([[0.0], rng.uniform(1.0, 3.0, 19)])) @ frame.T
+            coupling = 0.1 * rng.standard_normal((20, 20))
+            coeff = np.block([[(plus + plus.T) / 2, coupling], [coupling.T, -np.eye(20)]])
+            weight = np.diag(rng.uniform(0.5, 2.0, 40))
+            inv = make_involution(np.diag([1.0] * 20 + [-1.0] * 20))
+            refusals.append(check_gap_hypothesis(weight, coeff, inv).refusal)
+        assert all("plus block margin is within rounding of zero" in r for r in refusals)
 
 
 class TestShiftedCoefficient:

@@ -106,6 +106,59 @@ def complex_spec(coeff=COMPLEX_H):
         kind="general", matrices={"A": np.eye(2), "H": coeff, "J": np.diag([1.0, -1.0])}
     )
 
+#: (command, flag) pairs no path reads, each with the arguments that would run without
+#: it; ``{od}`` is an offdiag problem file.  A ``generate`` line writes to ``{out}``.
+UNREAD_FLAGS = {
+    "kernel_force": ["kernel", "{od}", "--force"],
+    "family_force": ["family", "constant", "--sizes", "1", "--force"],
+    "offdiag_alpha": ["generate", "offdiag", "--n", "3,2", "--alpha", "0.5"],
+    "offdiag_force": ["generate", "offdiag", "--n", "3,2", "--force"],
+    "general_kernel_dims": ["generate", "general", "--n", "4", "--kernel-dims", "1,1"],
+    "counterexample_seed": ["generate", "counterexample", "--n", "2", "--seed", "1"],
+    "counterexample_alpha": ["generate", "counterexample", "--n", "2", "--alpha", "0.5"],
+    "counterexample_dims": ["generate", "counterexample", "--n", "2", "--kernel-dims", "1,1"],
+    "counterexample_force": ["generate", "counterexample", "--n", "2", "--force"],
+}
+
+#: Loader and CLI refusals: (problem file payload or None, command line with ``{}`` for
+#: its path, the message).  Each exits 2 with that one-line message.
+FAMILY_FILE = {"kind": "family", "family": {"name": "constant", "sizes": [1]}}
+OFFDIAG_MATRICES = {"A_plus": [["1", "0"], ["0", "2"]], "A_minus": [["1"]], "T": [["1", "0"]]}
+
+
+def general_with(name, rows):
+    return {**MINIMAL_GENERAL, "matrices": {**MINIMAL_GENERAL["matrices"], name: rows}}
+
+
+VERIFY = ["verify", "{}"]
+REFUSALS = {
+    "spec_not_object": ([1, 2], VERIFY, "problem spec must be a JSON object"),
+    "tolerances_not_object": (
+        {**MINIMAL_GENERAL, "tolerances": [1]}, VERIFY, "tolerances must be an object"
+    ),
+    "matrices_not_object": (
+        {**MINIMAL_GENERAL, "matrices": [1]}, VERIFY, "matrices must be an object"
+    ),
+    "rows_not_lists": (general_with("A", ["1", "0"]), VERIFY, "matrix A must be a non-empty"),
+    "rows_empty": (general_with("A", []), VERIFY, "matrix A must be a non-empty list of rows"),
+    "rows_ragged": (general_with("A", [["1"], ["2", "0"]]), VERIFY, "matrix A has ragged"),
+    "entry_nan": (general_with("A", [["nan", "0"], ["0", "1"]]), VERIFY, "matrix A contains NaN"),
+    "A_not_square": (general_with("A", [["1", "0"]]), VERIFY, "matrix A must be square"),
+    "family_without_family": ({"kind": "family"}, VERIFY, "kind family requires a family object"),
+    "family_with_matrices": (
+        {**FAMILY_FILE, "matrices": MINIMAL_GENERAL["matrices"]}, VERIFY, "kind family carries no"
+    ),
+    "offdiag_T_shape": (
+        {"kind": "offdiag", "matrices": OFFDIAG_MATRICES}, VERIFY, "T must be 2 x 1"
+    ),
+    "stability_on_family": (FAMILY_FILE, ["stability", "{}"], "stability command needs"),
+    "sizes_reversed": (None, ["family", "constant", "--sizes", "5..3"], "empty size range"),
+    "sizes_none": (None, ["family", "constant", "--sizes", ","], "family runs need a non-empty"),
+    "offdiag_one_size": (
+        None, ["generate", "offdiag", "--n", "4", "--out", "{}"], "--n must be two comma-separated"
+    ),
+}
+
 
 def write_json(tmp_path, payload, name="spec.json"):
     path = tmp_path / name
@@ -247,6 +300,17 @@ class TestRoundTrip:
         before = path.read_bytes()
         with pytest.raises(SpecFormatError, match=COMPLEX_REFUSAL):
             save_spec(complex_spec(), str(path))
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0)])
+    def test_empty_matrix_refused_before_the_file_is_opened(self, tmp_path, shape):
+        # load_spec refuses a matrix without entries, so neither writer may produce one.
+        path = tmp_path / "existing.json"
+        save_spec(gen_random("general", 2, seed=0), str(path))
+        before = path.read_bytes()
+        for write in (spec_to_dict, lambda spec: save_spec(spec, str(path))):
+            with pytest.raises(SpecFormatError, match="^matrix H is empty"):
+                write(complex_spec(np.zeros(shape)))
         assert path.read_bytes() == before
 
 
@@ -498,6 +562,36 @@ class TestCli:
         spec = load_spec(out)
         assert spec.force
         assert main(["verify", out]) == 0
+
+    def test_every_report_command_fails_a_refused_certificate(self, tmp_path, capsys):
+        spec = gen_counterexample(3)
+        spec.force = False
+        path = str(tmp_path / "refused.json")
+        save_spec(spec, path)
+        for command in ("verify", "stability"):
+            assert main([command, path]) == 1
+            assert capsys.readouterr().out.startswith("FAIL  hypothesis_certified\nfailed in ")
+        assert main(["stability", path, "--force"]) == 0
+
+    @pytest.mark.parametrize("case", sorted(UNREAD_FLAGS))
+    def test_unread_flag_exit_two(self, tmp_path, case):
+        od, out = tmp_path / "od.json", tmp_path / "out.json"
+        save_spec(gen_random("offdiag", (3, 2), seed=0), str(od))
+        argv = [arg.format(od=od) for arg in UNREAD_FLAGS[case]]
+        if argv[0] == "generate":
+            argv += ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refusal_exit_two_one_line(self, tmp_path, capsys, case):
+        payload, argv, message = REFUSALS[case]
+        path = write_json(tmp_path, payload) if payload is not None else str(tmp_path / "out.json")
+        assert main([arg.format(path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
 
     def test_stability_subcommand_offdiag(self, tmp_path, capsys):
         path = str(tmp_path / "od_stab.json")

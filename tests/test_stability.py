@@ -161,6 +161,16 @@ class TestSufficientSemibounded:
         steps = int(round(np.log2(found / start))) + 1
         assert steps <= 20
 
+    def test_singular_shifted_operator_stops_at_once(self, monkeypatch):
+        # B + J = diag(0, 1) is singular, so no constant clears its spectrum; the search
+        # returns the last of its 60 constants, 3 * 2^59 from ||B|| + 1 = 3, without trying them.
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        inv = make_involution(np.diag([1.0, -1.0]))
+        found = sufficient_semibounded(np.eye(2), inv.matrix, np.diag([-1.0, 2.0]), inv)
+        assert found == (False, 3.0 * 2.0**59)
+        assert len(calls) <= 2
+
 
 class TestSpectralIdentity:
     def test_adjoint_pair_rectangular(self):
