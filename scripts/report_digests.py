@@ -6,7 +6,9 @@ whose reports agree bit for bit print the same digests.  The cases are the
 parity problems of ``tests/test_parity.py`` (``PARITY_CASES``), general
 n=384 and offdiag p=q=192 with kernel dimensions (3, 2) (the benchmark's
 shapes, spec seeds ``LARGE_SEEDS``), ``gen_counterexample(3)`` forced and
-refused, and both families at sizes ``FAMILY_SIZES``.  The JSON written to
+refused, both families at sizes ``FAMILY_SIZES``, and the ``TOL_CASES`` parity
+problems again at ``tol_scale`` ``TOL_SCALE`` (label suffix ``-tol<scale>``), whose
+checks fail or pass by the tolerance each one reads.  The JSON written to
 ``--out`` (or standard output) maps each case to its digest.  ``--compare``
 reads such a file, written on another tree, prints each case whose digest
 differs from it (a case on one side only differs too) and exits 1 if any does.
@@ -37,6 +39,8 @@ OFFDIAG_DIMS = (192, 192)
 OFFDIAG_KERNEL_DIMS = (3, 2)
 COUNTEREXAMPLE_SIZE = 3
 FAMILY_SIZES = [1, 2, 3, 4, 5, 6]
+TOL_CASES = [("general", 24, 0), ("offdiag", (6, 5), 0)]
+TOL_SCALE = 1e-12
 
 
 def cases() -> dict:
@@ -48,10 +52,18 @@ def cases() -> dict:
         spec.force = force
         return spec
 
+    def scaled(kind, shape, seed):
+        spec = gen_random(kind, shape, seed)
+        spec.tolerances["tol_scale"] = TOL_SCALE
+        return spec
+
+    def parity_label(kind, shape, seed) -> str:
+        dims = shape if kind == "general" else f"{shape[0]}x{shape[1]}"
+        return f"parity-{kind}-{dims}-{seed}"
+
     out = {}
-    for kind, shape, seed in PARITY_CASES:
-        label = f"{kind}-{shape}" if kind == "general" else f"{kind}-{shape[0]}x{shape[1]}"
-        out[f"parity-{label}-{seed}"] = lambda k=kind, s=shape, r=seed: gen_random(k, s, r)
+    for case in PARITY_CASES:
+        out[parity_label(*case)] = lambda c=case: gen_random(*c)
     for seed in LARGE_SEEDS:
         out[f"general-{GENERAL_N}-{seed}"] = lambda r=seed: gen_random("general", GENERAL_N, r)
         out[f"offdiag-{OFFDIAG_DIMS[0]}x{OFFDIAG_DIMS[1]}-{seed}"] = lambda r=seed: gen_random(
@@ -64,6 +76,8 @@ def cases() -> dict:
         out[f"family-{name}"] = lambda n=name: ProblemSpec(
             kind="family", family_name=n, sizes=list(FAMILY_SIZES)
         )
+    for case in TOL_CASES:
+        out[f"{parity_label(*case)}-tol{TOL_SCALE:g}"] = lambda c=case: scaled(*c)
     return out
 
 

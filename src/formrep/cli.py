@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 from .errors import FormrepError, SpecFormatError
 from .harness import (
@@ -68,13 +69,20 @@ GENERATORS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one ``error:`` line; sub-command parsers share the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def _add_flags(parser: argparse.ArgumentParser, flags: tuple[str, ...]) -> None:
     for flag in flags:
         parser.add_argument(flag, **FLAGS[flag])
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="formrep",
         description=(
             "Construct self-adjoint matrices associated with sign-indefinite "
@@ -135,13 +143,13 @@ def _apply_overrides(spec: ProblemSpec, args: argparse.Namespace) -> ProblemSpec
 
 
 def _emit(report: Report, json_out: str | None) -> int:
-    for name, ok in report.checks.items():
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-    print(f"{'passed' if report.passed else 'failed'} in {report.wall_time_s:.3f}s")
-    if json_out:
+    if json_out:  # written first: a path that cannot be written prints no summary
         with open(json_out, "w", encoding="utf-8") as handle:
             json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")
+    for name, ok in report.checks.items():
+        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+    print(f"{'passed' if report.passed else 'failed'} in {report.wall_time_s:.3f}s")
     return report.exit_code
 
 

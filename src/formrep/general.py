@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -388,22 +388,30 @@ def associate_general(
         )
     gap_radius = _min_abs(shifted)
     del shifted
-    decomp = _eigh(operator)
+    return _probed(
+        operator, _eigh(operator), lambda xs, ys: _pairing(root @ xs, sym_h @ (root @ ys)), scale,
+        probe_seed, gap_radius=gap_radius, certificate=certificate, weight=weight,
+    )
+
+
+def _probed(
+    operator: np.ndarray,
+    decomp: SpectralDecomposition,
+    form: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    scale: float,
+    probe_seed: int,
+    **fields: Any,
+) -> RepresentationResult:
+    """The result for an assembled ``operator`` and its decomposition ``decomp``: both
+    representation residuals against ``form`` over ``default_probes(n, probe_seed)``, divided by
+    ``scale``.  ``fields`` give the rest: ``gap_radius``, ``certificate`` and ``weight``."""
     first, second = _probe_residuals(
-        _probe_blocks(weight.n, probe_seed),
-        scale,
-        lambda xs, ys: _pairing(root @ xs, sym_h @ (root @ ys)),
-        lambda xs, ys: _pairing(xs, operator @ ys),
-        _represented_side(decomp),
+        _probe_blocks(len(operator), probe_seed), scale, form,
+        lambda xs, ys: _pairing(xs, operator @ ys), _represented_side(decomp),
     )
     return RepresentationResult(
-        operator=operator,
-        gap_radius=gap_radius,
-        first_rep_residual=first,
-        second_rep_residual=second,
-        certificate=certificate,
-        weight=weight,
-        decomposition=decomp,
+        operator=operator, first_rep_residual=first, second_rep_residual=second,
+        decomposition=decomp, **fields,
     )
 
 

@@ -25,7 +25,7 @@ from .errors import (
     InternalCheckError,
     SpecFormatError,
 )
-from .general import associate_general, gap_certificate_check
+from .general import RepresentationResult, associate_general, gap_certificate_check
 from .involution import make_involution
 from .offdiag import _kernel_report, assemble_offdiag, direct_coefficient, offdiag_problem
 from .spectral import random_orthogonal
@@ -448,64 +448,59 @@ def _check_residuals_finite(report: Report) -> None:
     walk(asdict(report))
 
 
-def _run_general(spec: ProblemSpec) -> Report:
-    tol = spec.tol_scale
-    inv = make_involution(spec.matrices["J"])
-    checks: dict[str, bool] = {}
+def _represented(
+    result: RepresentationResult, tol: float, checks: dict[str, bool], **numbers: Any
+) -> dict[str, Any]:
+    """Report sections of an assembled result: its residual checks, the pipeline's own
+    ``checks``, then the stability suite's; ``numbers`` join the shared representation ones."""
+    stab = _stability(result.weight, result.operator, result.decomposition, 1)
+    return {
+        "checks": {
+            "first_rep_residual": result.first_rep_residual <= 1e-10 * tol,
+            "second_rep_residual": result.second_rep_residual <= 1e-10 * tol,
+            **checks,
+            "stability_conditions_agree": all(stab.conditions.values()),
+        },
+        "representation": {
+            "first_rep_residual": result.first_rep_residual,
+            "second_rep_residual": result.second_rep_residual,
+            "gap_radius": result.gap_radius,
+            "operator_norm": result.decomposition.source_norm,
+            **numbers,
+        },
+        "stability": asdict(stab),
+    }
+
+
+def _run_general(spec: ProblemSpec) -> dict[str, Any]:
+    tol, mats = spec.tol_scale, spec.matrices
+    inv = make_involution(mats["J"])
     try:
-        result = associate_general(
-            spec.matrices["A"], spec.matrices["H"], inv, spec.force, spec.seed
-        )
+        result = associate_general(mats["A"], mats["H"], inv, spec.force, spec.seed)
     except HypothesisRefusedError as exc:
-        return Report(
-            kind="general",
-            spec_echo=_spec_dict(spec, _matrix_digest),
-            checks={"hypothesis_certified": False},
-            certificate=asdict(exc.certificate),
-            representation={"refusal": str(exc)},
-        )
+        return {
+            "checks": {"hypothesis_certified": False},
+            "certificate": asdict(exc.certificate),
+            "representation": {"refusal": str(exc)},
+        }
     cert = result.certificate
-    checks["first_rep_residual"] = result.first_rep_residual <= 1e-10 * tol
-    checks["second_rep_residual"] = result.second_rep_residual <= 1e-10 * tol
+    checks: dict[str, bool] = {}
     margin = gap_certificate_check(result, inv)
     if cert.satisfied:
         checks["gap_margin"] = margin >= -1e-8 * tol
-        checks["gap_radius_above_alpha"] = (
-            result.gap_radius >= (cert.alpha_star or 0.0) - 1e-8 * tol
-        )
-    representation = {
-        "certified": cert.satisfied,
-        "first_rep_residual": result.first_rep_residual,
-        "second_rep_residual": result.second_rep_residual,
-        "gap_radius": result.gap_radius,
-        "gap_margin": float(margin),
-        "operator_norm": result.decomposition.source_norm,
-    }
+        checks["gap_radius_above_alpha"] = result.gap_radius >= cert.alpha_star - 1e-8 * tol
     del inv  # the suite sets the run's peak: drop the matrices nothing reads again
-    stab = _stability(result.weight, result.operator, result.decomposition, 1)
-    checks["stability_conditions_agree"] = all(stab.conditions.values())
-    checks["shifted_unit_gap"] = stab.shifted_gap >= 1.0 - 1e-10 * tol
-    return Report(
-        kind="general",
-        spec_echo=_spec_dict(spec, _matrix_digest),
-        checks=checks,
-        certificate=asdict(cert),
-        representation=representation,
-        stability=asdict(stab),
-    )
+    sections = _represented(result, tol, checks, certified=cert.satisfied, gap_margin=margin)
+    shifted_gap = sections["stability"]["shifted_gap"]
+    sections["checks"]["shifted_unit_gap"] = shifted_gap >= 1.0 - 1e-10 * tol
+    return {**sections, "certificate": asdict(cert)}
 
 
-def _run_offdiag(spec: ProblemSpec) -> Report:
-    tol = spec.tol_scale
-    problem = offdiag_problem(
-        spec.matrices["A_plus"], spec.matrices["A_minus"], spec.matrices["T"]
-    )
+def _run_offdiag(spec: ProblemSpec) -> dict[str, Any]:
+    tol, mats = spec.tol_scale, spec.matrices
+    problem = offdiag_problem(mats["A_plus"], mats["A_minus"], mats["T"])
     result = assemble_offdiag(problem, probe_seed=spec.seed)
-    checks: dict[str, bool] = {
-        "first_rep_residual": result.first_rep_residual <= 1e-10 * tol,
-        "second_rep_residual": result.second_rep_residual <= 1e-10 * tol,
-        "shifted_gap_at_least_one": result.gap_radius >= 1.0 - 1e-10 * tol,
-    }
+    checks = {"shifted_gap_at_least_one": result.gap_radius >= 1.0 - 1e-10 * tol}
     try:
         direct_coefficient(problem)
         checks["direct_coefficient_identity"] = True
@@ -514,22 +509,11 @@ def _run_offdiag(spec: ProblemSpec) -> Report:
     kernel = _kernel_report(problem, result.decomposition)
     checks["kernel_dims_match"] = kernel.dims_match
     checks["kernel_principal_angle"] = kernel.principal_angle <= 1e-8 * tol
-    representation = {
-        "first_rep_residual": result.first_rep_residual,
-        "second_rep_residual": result.second_rep_residual,
-        "gap_radius": result.gap_radius,
-        "coupling_norm": problem.coupling_norm,
-        "operator_norm": result.decomposition.source_norm,
-    }
+    coupling_norm = problem.coupling_norm
     del problem  # the suite sets the run's peak: drop the matrices nothing reads again
-    stab = _stability(result.weight, result.operator, result.decomposition, 1)
-    checks["stability_conditions_agree"] = all(stab.conditions.values())
-    return Report(
-        kind="offdiag",
-        spec_echo=_spec_dict(spec, _matrix_digest),
-        checks=checks,
-        representation=representation,
-        kernel={
+    return {
+        **_represented(result, tol, checks, coupling_norm=coupling_norm),
+        "kernel": {
             "theorem_dim": kernel.theorem_kernel.dim,
             "oracle_dim": kernel.oracle_kernel.dim,
             "ker_plus_dim": kernel.ker_diag_plus.dim,
@@ -538,11 +522,10 @@ def _run_offdiag(spec: ProblemSpec) -> Report:
             "annihilator_minus_dim": kernel.annihilator_minus.dim,
             "principal_angle": kernel.principal_angle,
         },
-        stability=asdict(stab),
-    )
+    }
 
 
-def _run_family(spec: ProblemSpec) -> Report:
+def _run_family(spec: ProblemSpec) -> dict[str, Any]:
     if spec.family_name not in FAMILIES:
         raise SpecFormatError(
             f"unknown family {spec.family_name!r}; known: {sorted(FAMILIES)}"
@@ -565,11 +548,9 @@ def _run_family(spec: ProblemSpec) -> Report:
         )
     elif spec.family_name == "constant":
         checks["gap_search_succeeds_every_size"] = all(diagnostics.gap_search_outcomes)
-    return Report(
-        kind="family",
-        spec_echo=_spec_dict(spec, _matrix_digest),
-        checks=checks,
-        family={
+    return {
+        "checks": checks,
+        "family": {
             "name": spec.family_name,
             "truncation_sizes": diagnostics.truncation_sizes,
             "norm_sequences": {
@@ -578,21 +559,23 @@ def _run_family(spec: ProblemSpec) -> Report:
             },
             "gap_search_outcomes": [bool(b) for b in diagnostics.gap_search_outcomes],
         },
-    )
+    }
 
 
 def run(spec: ProblemSpec) -> Report:
     """Dispatch a problem to its pipeline and aggregate the report.
 
-    Check failures are encoded in the report (exit code 1); malformed or
-    mathematically inadmissible inputs raise library errors that callers
-    map to exit code 2.
+    Each pipeline returns the report sections it fills; the report's kind,
+    spec echo, finiteness check and wall time are added here.  Check failures
+    are encoded in the report (exit code 1); malformed or mathematically
+    inadmissible inputs raise library errors that callers map to exit code 2.
     """
     pipelines = {"general": _run_general, "offdiag": _run_offdiag, "family": _run_family}
     if spec.kind not in pipelines:
         raise SpecFormatError(f"unknown kind {spec.kind!r}")
     start = time.perf_counter()
-    report = pipelines[spec.kind](spec)
+    sections = pipelines[spec.kind](spec)
+    report = Report(kind=spec.kind, spec_echo=_spec_dict(spec, _matrix_digest), **sections)
     _check_residuals_finite(report)
     report.wall_time_s = time.perf_counter() - start
     return report

@@ -25,7 +25,6 @@ from .spectral import (
     _eigh,
     _gram_norm,
     _hermitian,
-    _norm2_above,
     _sym_norm,
     symmetrize,
 )
@@ -111,13 +110,13 @@ def make_involution(mat: np.ndarray) -> Involution:
     """
     sym = symmetrize(mat, "involution candidate")
     n = sym.shape[0]
-    eye = np.eye(n, dtype=sym.dtype)
-    square_defect = _norm2_above(sym @ sym - eye, 1e-12 * n)
-    if square_defect is not None:
+    decomp = _eigh(sym)
+    # J^2 - I = V diag(mu^2 - 1) V*, so its spectral norm is the largest |mu^2 - 1|.
+    square_defect = float(np.max(np.abs(decomp.eigenvalues**2 - 1.0)))
+    if square_defect > 1e-12 * n:
         raise InvolutionError(
             f"not an involution: ||J^2 - I|| = {square_defect:.3e} exceeds {1e-12 * n:.1e}"
         )
-    decomp = _eigh(sym)
     plus_mask = decomp.eigenvalues > 0.0
     dim_plus = int(np.count_nonzero(plus_mask))
     if dim_plus == 0 or dim_plus == n:

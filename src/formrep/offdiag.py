@@ -31,9 +31,7 @@ from .general import (
     RepresentationResult,
     _clamped_weight,
     _pairing,
-    _probe_blocks,
-    _probe_residuals,
-    _represented_side,
+    _probed,
 )
 from .involution import Involution, _validated
 from .spectral import (
@@ -252,24 +250,13 @@ def assemble_offdiag(problem: OffDiagonalProblem, probe_seed: int = 0) -> Repres
     certificate is automatic here: the splitting creates the gap, of radius ``problem.gap_radius``.
     """
     operator = _associated(problem)
-    decomp = _eigh(operator)
-    first, second = _probe_residuals(
-        _probe_blocks(problem.dim, probe_seed),
-        _form_scale(problem),
-        form_evaluator(problem),
-        lambda xs, ys: _pairing(xs, operator @ ys),
-        _represented_side(decomp),
+    certificate = GapCertificate(
+        lambda_min_plus=1.0, lambda_max_minus=-1.0, satisfied=True, alpha_star=1.0
     )
-    return RepresentationResult(
-        operator=operator,
-        gap_radius=problem.gap_radius,
-        first_rep_residual=first,
-        second_rep_residual=second,
-        certificate=GapCertificate(
-            lambda_min_plus=1.0, lambda_max_minus=-1.0, satisfied=True, alpha_star=1.0
-        ),
-        weight=problem.weight,
-        decomposition=decomp,
+    # B is decomposed before form_evaluator builds its roots: the other order raises peak RSS.
+    return _probed(
+        operator, _eigh(operator), form_evaluator(problem), _form_scale(problem), probe_seed,
+        gap_radius=problem.gap_radius, certificate=certificate, weight=problem.weight,
     )
 
 

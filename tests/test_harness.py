@@ -160,6 +160,61 @@ REFUSALS = {
 }
 
 
+#: Command lines argparse refuses.  Each exits 2 with one ``error:`` line and no usage
+#: block; in the last, argparse reads ``-1,0`` as a flag.
+USAGE_ERRORS = {
+    "no_command": [],
+    "unknown_command": ["bogus"],
+    "verify_without_file": ["verify"],
+    "seed_not_an_integer": ["generate", "general", "--n", "4", "--seed", "x"],
+    "negative_kernel_dims": ["generate", "offdiag", "--n", "3,2", "--kernel-dims", "-1,0"],
+}
+
+#: Problems and the checks they fail at ``--tol-scale 1e-12``, as measured: the scale
+#: reaches the residual checks of both kinds and the general-only unit-gap check.
+TIGHT_TOLERANCE = {
+    "general": (
+        ("general", 24, 0), {"first_rep_residual", "second_rep_residual", "shifted_unit_gap"}
+    ),
+    "offdiag": (("offdiag", (6, 5), 0), {"first_rep_residual", "second_rep_residual"}),
+}
+
+
+def refused_counterexample():
+    spec = gen_counterexample(2)
+    spec.force = False
+    return spec
+
+
+#: Each report kind: its problem, the optional sections it fills and the keys of its
+#: ``representation`` (None where the kind has none).
+SECTIONS = ("certificate", "representation", "kernel", "stability", "family")
+REPORT_KINDS = {
+    "general_refused": (refused_counterexample, {"certificate", "representation"}, {"refusal"}),
+    "general_forced": (
+        lambda: gen_counterexample(2),
+        {"certificate", "representation", "stability"},
+        {
+            "certified", "first_rep_residual", "second_rep_residual",
+            "gap_radius", "gap_margin", "operator_norm",
+        },
+    ),
+    "offdiag": (
+        lambda: gen_random("offdiag", (6, 5), 0),
+        {"representation", "kernel", "stability"},
+        {
+            "first_rep_residual", "second_rep_residual",
+            "gap_radius", "coupling_norm", "operator_norm",
+        },
+    ),
+    "family": (
+        lambda: ProblemSpec(kind="family", family_name="constant", sizes=[1, 2]),
+        {"family"},
+        None,
+    ),
+}
+
+
 def write_json(tmp_path, payload, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -432,6 +487,14 @@ class TestRun:
                 "sha256": hashlib.sha256(data.tobytes()).hexdigest(),
             }
 
+    @pytest.mark.parametrize("case", sorted(REPORT_KINDS))
+    def test_each_report_kind_fills_its_sections(self, case):
+        build, sections, representation_keys = REPORT_KINDS[case]
+        report = run(build())
+        assert {name for name in SECTIONS if getattr(report, name) is not None} == sections
+        if representation_keys is not None:
+            assert set(report.representation) == representation_keys
+
     def test_unknown_family(self):
         spec = ProblemSpec(kind="family", family_name="nope", sizes=[1])
         with pytest.raises(SpecFormatError, match="unknown family"):
@@ -609,6 +672,38 @@ class TestCli:
         assert payload["kind"] == "general"
         assert set(payload["checks"].values()) == {True}
         assert payload["spec_echo"]["seed"] == 4
+
+    @pytest.mark.parametrize("case", sorted(TIGHT_TOLERANCE))
+    def test_tol_scale_reaches_the_checks_of_both_kinds(self, tmp_path, capsys, case):
+        problem, failing = TIGHT_TOLERANCE[case]
+        path = str(tmp_path / "tight.json")
+        save_spec(gen_random(*problem), path)
+        assert main(["verify", path]) == 0
+        capsys.readouterr()
+        assert main(["verify", path, "--tol-scale", "1e-12"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert {line[6:] for line in lines if line.startswith("FAIL  ")} == failing
+        assert sum(line.startswith("PASS  ") for line in lines) == len(lines) - len(failing) - 1
+
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_usage_error_exit_two_one_line(self, capsys, case):
+        with pytest.raises(SystemExit) as exc:
+            main(USAGE_ERRORS[case])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: formrep")
+
+    def test_unwritable_json_out_prints_no_summary(self, tmp_path, capsys):
+        argv = ["family", "constant", "--sizes", "1", "--json-out", str(tmp_path)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_tol_scale_flag(self, tmp_path):
         path = str(tmp_path / "tol.json")
