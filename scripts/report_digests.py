@@ -9,9 +9,11 @@ shapes, spec seeds ``LARGE_SEEDS``), ``gen_counterexample(3)`` forced and
 refused, both families at sizes ``FAMILY_SIZES``, and the ``TOL_CASES`` parity
 problems again at ``tol_scale`` ``TOL_SCALE`` (label suffix ``-tol<scale>``), whose
 checks fail or pass by the tolerance each one reads.  The JSON written to
-``--out`` (or standard output) maps each case to its digest.  ``--compare``
-reads such a file, written on another tree, prints each case whose digest
-differs from it (a case on one side only differs too) and exits 1 if any does.
+``--out`` (or standard output) maps each case to its digest and its report
+flattened to dotted field names.  ``--compare`` reads such a file, written on
+another tree, prints each case whose digest differs from it (a case on one side
+only differs too) with the fields that differ, old and new value and, for
+numbers, the new/old ratio, and exits 1 if any case differs.
 
     python3 scripts/report_digests.py --out digests.json
     python3 scripts/report_digests.py --compare digests.json
@@ -81,10 +83,37 @@ def cases() -> dict:
     return out
 
 
-def digest(report) -> str:
+def flatten(node, prefix: str = "") -> dict:
+    """Dotted field name -> leaf value of nested dicts and lists (list items by index)."""
+    if not isinstance(node, (dict, list)):
+        return {prefix: node}
+    out = {}
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        out.update(flatten(value, f"{prefix}.{key}" if prefix else str(key)))
+    return out
+
+
+def entry(report) -> dict:
+    """The report's digest and its flattened fields, without ``wall_time_s``."""
     body = report.to_dict()
     del body["wall_time_s"]
-    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    text = json.dumps(body, sort_keys=True)
+    return {"digest": hashlib.sha256(text.encode()).hexdigest(), "fields": flatten(body)}
+
+
+def field_changes(new: dict, old: dict) -> list[str]:
+    """One line per field whose value differs: old -> new, with new/old for numbers."""
+    lines = []
+    for name in sorted(new.keys() | old.keys()):
+        was, now = old.get(name, "<absent>"), new.get(name, "<absent>")
+        if was == now:
+            continue
+        line = f"  {name}: {was!r} -> {now!r}"
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (was, now))
+        if numbers and was != 0:
+            line += f" (x{now / was:.3g})"
+        lines.append(line)
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,19 +126,24 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(SRC))
     from formrep import run
 
-    digests = {label: digest(run(build())) for label, build in cases().items()}
-    text = json.dumps(digests, indent=1)
+    entries = {label: entry(run(build())) for label, build in cases().items()}
+    text = json.dumps(entries, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")
     elif other is None:
         print(text)
     if other is None:
         return 0
-    labels = sorted(digests.keys() | other.keys())
-    differ = [label for label in labels if digests.get(label) != other.get(label)]
-    for label in differ:
-        print(f"differs: {label}")
-    print(f"{len(labels) - len(differ)} of {len(labels)} identical")
+    labels = sorted(entries.keys() | other.keys())
+    absent = {"digest": None, "fields": {}}
+    differ = 0
+    for label in labels:
+        new, old = entries.get(label, absent), other.get(label, absent)
+        if new["digest"] != old["digest"]:
+            differ += 1
+            print(f"differs: {label}")
+            print("\n".join(field_changes(new["fields"], old["fields"])))
+    print(f"{len(labels) - differ} of {len(labels)} identical")
     return 1 if differ else 0
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -46,10 +46,10 @@ from .spectral import (
 
 logger = logging.getLogger(__name__)
 
-#: Number of extra random probe pairs is 2*n; canonical pairs added up to this n.
+#: All canonical basis pairs join the random probe pairs up to this n.
 CANONICAL_PROBE_LIMIT = 16
-#: Probe columns evaluated at once, so that no temporary is wider than n x 256.
-_PROBE_BLOCK = 256
+#: Most random probe pairs drawn, ``min(2n, 256)``: no probe array is wider than n x 288.
+_PROBE_PAIRS = 256
 
 
 @dataclass(frozen=True)
@@ -134,24 +134,16 @@ def weight_sqrt(mat: np.ndarray) -> np.ndarray:
 
 
 def default_probes(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded probe pairs as the columns of ``(X, Y)``: ``2n`` random unit Gaussians
-    (pair ``k`` from draws ``2k`` and ``2k + 1`` of ``n`` normals each), plus all
+    """Seeded probe pairs as the columns of ``(X, Y)``: ``min(2n, 256)`` random unit
+    Gaussians (pair ``k`` from draws ``2k`` and ``2k + 1`` of ``n`` normals each), plus all
     canonical basis pairs ``(e_i, e_j)`` when ``n <= CANONICAL_PROBE_LIMIT``."""
-    return tuple(np.hstack(side) for side in zip(*_probe_blocks(n, seed)))
-
-
-def _probe_blocks(n: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``default_probes(n, seed)`` in blocks of ``_PROBE_BLOCK`` random pairs, each drawn
-    when it is needed: chunked draws continue the ``default_rng(seed)`` stream bit for bit."""
-    rng = np.random.default_rng(seed)
-    for start in range(0, 2 * n, _PROBE_BLOCK):
-        draws = rng.standard_normal((min(_PROBE_BLOCK, 2 * n - start), 2, n))
-        draws /= np.sqrt(np.einsum("ijk,ijk->ij", draws, draws))[..., None]  # no squared copy
-        xs, ys = draws[:, 0].T, draws[:, 1].T
-        if n <= CANONICAL_PROBE_LIMIT:  # the only block, at most 2n + n^2 = 288 columns
-            eye = np.eye(n)
-            xs, ys = np.hstack([xs, np.repeat(eye, n, axis=1)]), np.hstack([ys, np.tile(eye, n)])
-        yield xs, ys
+    draws = np.random.default_rng(seed).standard_normal((min(2 * n, _PROBE_PAIRS), 2, n))
+    draws /= np.sqrt(np.einsum("ijk,ijk->ij", draws, draws))[..., None]  # no squared copy
+    xs, ys = draws[:, 0].T, draws[:, 1].T
+    if n <= CANONICAL_PROBE_LIMIT:
+        eye = np.eye(n)
+        xs, ys = np.hstack([xs, np.repeat(eye, n, axis=1)]), np.hstack([ys, np.tile(eye, n)])
+    return xs, ys
 
 
 def check_gap_hypothesis(
@@ -257,27 +249,23 @@ def _pairing(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _probe_residuals(
-    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+    probes: tuple[np.ndarray, np.ndarray],
     scale: float,
     form: Callable[[np.ndarray, np.ndarray], np.ndarray],
     *sides: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> list[float]:
     """Largest ``|form(x, y) - side(x, y)| / (||x|| ||y|| scale)`` over the probes, per side.
 
-    The pairs are the columns of each block ``(X, Y)``, taken ``_PROBE_BLOCK`` at a time;
-    ``form`` and each side map such columns to the value of every column pair in them."""
-    worst = np.zeros(len(sides))
-    for xs, ys in blocks:
-        if xs.ndim != 2 or xs.shape[1] == 0:
-            raise MatrixValidationError("at least one probe pair is needed")
-        for start in range(0, xs.shape[1], _PROBE_BLOCK):
-            x, y = xs[:, start : start + _PROBE_BLOCK], ys[:, start : start + _PROBE_BLOCK]
-            denom = np.linalg.norm(x, axis=0) * np.linalg.norm(y, axis=0) * scale
-            if not np.all(denom > 0.0):
-                raise MatrixValidationError("probe vectors must be nonzero")
-            target = form(x, y)
-            worst = np.maximum(worst, [np.max(np.abs(target - f(x, y)) / denom) for f in sides])
-    return [float(value) for value in worst]
+    The pairs are the columns of ``probes = (X, Y)``; ``form`` and each side map such
+    columns to the value of every column pair in them."""
+    xs, ys = probes
+    if xs.ndim != 2 or xs.shape[1] == 0:
+        raise MatrixValidationError("at least one probe pair is needed")
+    denom = np.linalg.norm(xs, axis=0) * np.linalg.norm(ys, axis=0) * scale
+    if not np.all(denom > 0.0):
+        raise MatrixValidationError("probe vectors must be nonzero")
+    target = form(xs, ys)
+    return [float(np.max(np.abs(target - side(xs, ys)) / denom)) for side in sides]
 
 
 def _represented_side(decomp: SpectralDecomposition):
@@ -300,9 +288,9 @@ def _standalone(
     weight = _clamped_weight(sym_a)
     root = apply_fn(weight, np.sqrt)
     if probes is not None:  # an empty list stacks to 1-d arrays, which are rejected
-        probes = [(np.array([x for x, _ in probes]).T, np.array([y for _, y in probes]).T)]
+        probes = (np.array([x for x, _ in probes]).T, np.array([y for _, y in probes]).T)
     return _probe_residuals(
-        _probe_blocks(sym_a.shape[0], seed) if probes is None else probes,
+        default_probes(sym_a.shape[0], seed) if probes is None else probes,
         (1.0 + weight.source_norm) * max(_sym_norm(sym_h), 1e-300),
         lambda xs, ys: _pairing(root @ xs, sym_h @ (root @ ys)),
         side,
@@ -406,7 +394,7 @@ def _probed(
     representation residuals against ``form`` over ``default_probes(n, probe_seed)``, divided by
     ``scale``.  ``fields`` give the rest: ``gap_radius``, ``certificate`` and ``weight``."""
     first, second = _probe_residuals(
-        _probe_blocks(len(operator), probe_seed), scale, form,
+        default_probes(len(operator), probe_seed), scale, form,
         lambda xs, ys: _pairing(xs, operator @ ys), _represented_side(decomp),
     )
     return RepresentationResult(

@@ -341,8 +341,8 @@ def _random_spd(n: int, low: float, high: float, rng: np.random.Generator) -> np
 def _random_psd_with_kernel(
     n: int, kernel_dim: int, rng: np.random.Generator
 ) -> np.ndarray:
-    if kernel_dim > n:
-        raise FormrepError(f"kernel dimension {kernel_dim} exceeds block size {n}")
+    if not 0 <= kernel_dim <= n:
+        raise FormrepError(f"kernel dimension {kernel_dim} must lie in [0, block size {n}]")
     frame = random_orthogonal(n, rng)
     vals = np.concatenate([np.zeros(kernel_dim), rng.uniform(0.3, 3.0, n - kernel_dim)])
     return (frame * vals) @ frame.T

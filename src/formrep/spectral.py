@@ -34,8 +34,8 @@ def kernel_tol(n: int, norm: float, scale: float = 1.0) -> float:
     """Default kernel threshold policy: ``tau = n * eps * norm * scale``.
 
     Eigenvalues with magnitude at or below ``tau`` are treated as zero.
-    The policy is the central numerical decision of the library: every
-    threshold is derived from it, and only ``nullspace`` accepts an override.
+    This is the kernel-decision threshold; only ``nullspace`` accepts an override.
+    The flag, commutation, off-diagonal and residual bounds are separate constants.
     """
     return n * EPS * norm * scale
 

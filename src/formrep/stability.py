@@ -135,8 +135,10 @@ def _stability(
     decomposition ``decomp`` of the operator ``sym_b``, in the weight's eigenbasis
     ``W`` (every norm reported is unitarily invariant): ``(A+I)^(1/2)`` and its
     inverse are diagonal there, and ``f(B)`` is ``Q diag(f(lam)) Q*``, ``Q = W* V``.
-    Norms come from ``eigvalsh`` of symmetric or Gram matrices, or from ``lam``;
-    no SVD is taken.  The unit gap and the forward pair use ``sym_b`` itself.
+    Norms come from ``eigvalsh`` of symmetric matrices, of the Gram matrix of ``K``, or
+    from ``lam``; no SVD is taken.  The residuals ``X~ F - I`` and ``K^2 - I`` are Frobenius
+    norms, upper bounds on their 2-norms, so flags i and iv are at least as strict as with
+    the 2-norm.  The unit gap and the forward pair use ``sym_b`` itself.
     Each n x n matrix lives from its first use to its last, in this order: ``B + sgn B``
     (unit gap, forward pair ``F``), ``X~`` (norm, ``X~ F - I``; ``F`` goes), ``X`` and ``Y``
     (norms, flags ii/iii, ``XY - I``; ``Y`` goes), ``K`` (norm, ``K^2 - I``, ``K - X~ X``)."""
@@ -164,7 +166,9 @@ def _stability(
     shifted_inverse_pair = grow * _spectral_map(rotated, 1.0 / (lam + signs)) * grow.T
     norm_xt = _sym_norm(shifted_inverse_pair)
     # Both factors of each inverse pair are symmetric: S F - I = (F S - I)^T.
-    inverse_pair_residual = _gram_norm(_minus_eye(shifted_inverse_pair @ shifted_forward_pair))
+    inverse_pair_residual = float(
+        np.linalg.norm(_minus_eye(shifted_inverse_pair @ shifted_forward_pair))
+    )
     del shifted_forward_pair
     weighted_abs = shrink * _spectral_map(rotated, np.abs(lam + signs)) * shrink.T
     weighted_abs_inverse = grow * _spectral_map(rotated, 1.0 / np.abs(lam + signs)) * grow.T
@@ -176,7 +180,7 @@ def _stability(
     del weighted_abs_inverse
     sign_conjugate = grow * _spectral_map(rotated, signs) * shrink.T
     norm_k = _gram_norm(sign_conjugate)
-    involution_residual = _gram_norm(_minus_eye(sign_conjugate @ sign_conjugate))
+    involution_residual = float(np.linalg.norm(_minus_eye(sign_conjugate @ sign_conjugate)))
     # (sgn_s - sgn_0)(B) B and (sgn_s - sgn_0)(B) |B| both have norm max |(sgn_s - sgn_0) lam|.
     sign_gap = signs - _signum(decomp, 0.0)(lam)
     sgn_invariance_residual = float(np.max(np.abs(sign_gap * lam), initial=0.0))

@@ -38,14 +38,15 @@ from formrep.stability import _stability
 #: oracle and the stability suite read that decomposition from the result)
 #: and the two kernel intersections account for its five ``eigh`` calls.
 #: ``ker T*``, ``ker T`` and the gap radius ``(1 + s_min^2)^(1/2)`` come from
-#: one full SVD of ``T``, so an offdiag run's seven ``eigvalsh`` calls are
+#: one full SVD of ``T``, so an offdiag run's five ``eigvalsh`` calls are
 #: the stability suite's.  The general path takes no SVD: the norm of
 #: ``[J, A]`` comes from its Gram matrix.  The offdiag SVDs are that one of ``T`` and the
 #: reported norms of non-symmetric matrices: the coupling norm (kept as
 #: ``norm(T, 2)``, the SVD work formbench's tracer counts), two principal
 #: angles and two annihilator pairings.  The suite takes
-#: no SVD and maps no function with ``apply_fn``; its seven ``eigvalsh`` calls
-#: are the unit gap, three symmetric norms and three Gram matrices.
+#: no SVD and maps no function with ``apply_fn``; its five ``eigvalsh`` calls
+#: are the unit gap, three symmetric norms and the Gram matrix of the sign
+#: conjugate; its two residuals are Frobenius norms.
 #: An offdiag run maps functions of its two weight blocks, never of the n x n
 #: weight: ``(A_pm + I)^(1/2)`` once per problem, ``A_pm^(1/2)`` for the form,
 #: ``(A_pm + I)^-1`` for the direct coefficient and ``(A_pm + I)^(-1/2)`` for the
@@ -60,14 +61,14 @@ CASES = {
     "general": (
         ("general", 16, 3),
         {
-            "eigh": 3, "eigvalsh": 12, "svd": 0, "apply_fn": 4, "symmetrize": 3,
+            "eigh": 3, "eigvalsh": 10, "svd": 0, "apply_fn": 4, "symmetrize": 3,
             "assemble_offdiag": 0, "_associated": 0,
         },
     ),
     "offdiag": (
         ("offdiag", (6, 5), 1, 0.5, (2, 1)),
         {
-            "eigh": 5, "eigvalsh": 7, "svd": 6, "apply_fn": 8, "symmetrize": 2,
+            "eigh": 5, "eigvalsh": 5, "svd": 6, "apply_fn": 8, "symmetrize": 2,
             "assemble_offdiag": 1, "_associated": 1,
         },
     ),
@@ -151,7 +152,7 @@ def test_stability_suite_takes_no_svd_and_no_callback_map(case, counts):
     result, _ = built(case)
     counts.clear()
     _stability(result.weight, result.operator, result.decomposition, 1)
-    # eigvalsh: the unit gap, three symmetric norms and three Gram matrices.
+    # eigvalsh: the unit gap, three symmetric norms and the sign conjugate's Gram matrix.
     assert {name: counts[name] for name in ("eigh", "eigvalsh", "svd", "apply_fn")} == {
-        "eigh": 0, "eigvalsh": 7, "svd": 0, "apply_fn": 0
+        "eigh": 0, "eigvalsh": 5, "svd": 0, "apply_fn": 0
     }

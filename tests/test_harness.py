@@ -23,6 +23,7 @@ from formrep import (
 )
 from formrep import harness
 from formrep.cli import main
+from formrep.errors import FormrepError
 from formrep.harness import FAMILIES, MAX_RANDOM_DIM
 
 MINIMAL_GENERAL = {
@@ -156,6 +157,11 @@ REFUSALS = {
     "sizes_none": (None, ["family", "constant", "--sizes", ","], "family runs need a non-empty"),
     "offdiag_one_size": (
         None, ["generate", "offdiag", "--n", "4", "--out", "{}"], "--n must be two comma-separated"
+    ),
+    "negative_kernel_dim": (
+        None,
+        ["generate", "offdiag", "--n", "3,2", "--kernel-dims=-1,0", "--out", "{}"],
+        "kernel dimension -1 must lie in [0, block size 3]",
     ),
 }
 
@@ -407,6 +413,12 @@ class TestGenerators:
         spec = gen_random("offdiag", (3, 3), seed=1, kernel_dims=(1, 1))
         assert nullspace(spec.matrices["A_plus"]).dim == 1
         assert nullspace(spec.matrices["A_minus"]).dim == 1
+
+    @pytest.mark.parametrize("kernel_dims", [(-1, 0), (0, 3)])
+    def test_kernel_dims_outside_the_block_name_the_value(self, kernel_dims):
+        bad = kernel_dims[0] if kernel_dims[0] < 0 else kernel_dims[1]
+        with pytest.raises(FormrepError, match=f"kernel dimension {bad} must lie in"):
+            gen_random("offdiag", (3, 2), seed=0, kernel_dims=kernel_dims)
 
     def test_same_seed_byte_identical(self):
         first = json.dumps(spec_to_dict(gen_random("general", 6, seed=42)), sort_keys=True)

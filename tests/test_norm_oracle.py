@@ -32,7 +32,14 @@ from formrep import (
     offdiag_problem,
 )
 from formrep.errors import InternalCheckError
-from formrep.spectral import _gram_norm, _signum, _sym_norm, apply_fn, min_abs_eig
+from formrep.spectral import (
+    SpectralDecomposition,
+    _gram_norm,
+    _signum,
+    _sym_norm,
+    apply_fn,
+    min_abs_eig,
+)
 from formrep.stability import FLAG_TOL, _stability
 from test_parity import CASES, build
 
@@ -48,8 +55,9 @@ def norm(mat):
 
 def svd_suite(weight, sym_b, decomp):
     """The suite's norms, residuals and flags by SVD 2-norms, both product orders,
-    in the original basis; ``gram_normed`` holds the matrices whose norms the
-    suite reads from Gram matrices."""
+    in the original basis; ``gram_normed`` holds the sign conjugate, whose norm the
+    suite reads from its Gram matrix, and the two residual matrices, whose Frobenius
+    norms the suite reports."""
     eye = np.eye(sym_b.shape[0])
     grow = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
     shrink = apply_fn(weight, lambda lam: 1.0 / np.sqrt(1.0 + lam))
@@ -182,7 +190,28 @@ def test_condition_i_tests_the_decomposition_against_the_operator():
     oracle = svd_suite(result.weight, moved, result.decomposition)
     assert report.conditions == oracle["conditions"]
     assert not report.conditions["i"] and report.conditions["iv"]
-    # A difference from I keeps the absolute rounding of its O(1) terms, about
-    # 1e-15: 1e-9 of this residual.
-    got, want = report.inverse_pair_residual, oracle["inverse_pair_residual"]
-    assert math.isclose(got, want, rel_tol=1e-8)
+    # The suite reports the Frobenius norm of X~ F - I, which bounds its 2-norm.  A
+    # difference from I keeps the absolute rounding of its O(1) terms, about 1e-15:
+    # 1e-9 of this residual.
+    residual = oracle["gram_normed"]["inverse_pair_residual"]
+    got = report.inverse_pair_residual
+    assert math.isclose(got, float(np.linalg.norm(residual)), rel_tol=1e-8)
+    assert got >= oracle["inverse_pair_residual"]
+
+
+def test_condition_iv_tests_the_sign_conjugate_as_an_involution():
+    # Eigenvectors scaled by 1 + 1e-6 perturb the sign conjugate K to (1 + 1e-6)^2 K
+    # with K^2 = (1 + 1e-6)^4 I, which misses I by about 4e-6; B + sgn B keeps its gap.
+    result, _ = assembled("general-24-1")
+    decomp = result.decomposition
+    scaled = SpectralDecomposition(
+        decomp.eigenvalues, (1.0 + 1e-6) * decomp.eigenvectors, decomp.source_norm
+    )
+    report = _stability(result.weight, result.operator, scaled, 1)
+    oracle = svd_suite(result.weight, result.operator, scaled)
+    assert report.conditions == oracle["conditions"]
+    assert not report.conditions["iv"]
+    residual = oracle["gram_normed"]["involution_residual"]
+    got = report.involution_residual
+    assert math.isclose(got, float(np.linalg.norm(residual)), rel_tol=1e-8)
+    assert got >= oracle["involution_residual"]
