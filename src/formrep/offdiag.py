@@ -289,11 +289,12 @@ def direct_coefficient(problem: OffDiagonalProblem) -> np.ndarray:
 def _annihilator(
     weight_block: SpectralDecomposition, kernel_of_adjoint: SubspaceBasis
 ) -> SubspaceBasis:
-    """Image of a coupling kernel under ``(A_pm + I)^(-1/2)``, orthonormalized."""
+    """Image of a coupling kernel ``K`` under ``(A_pm + I)^(-1/2)``, orthonormalized: with
+    ``A_pm = V diag(w) V*``, ``V (d * (V* K))`` for ``d = (1 + w)^(-1/2)``, no p x p map."""
     if kernel_of_adjoint.dim == 0:
         return SubspaceBasis.trivial(weight_block.n)
-    inv_root = apply_fn(weight_block, lambda lam: 1.0 / np.sqrt(1.0 + lam))
-    return orthonormal_columns(inv_root @ kernel_of_adjoint.vectors)
+    vecs, scale = weight_block.eigenvectors, 1.0 / np.sqrt(1.0 + weight_block.eigenvalues)
+    return orthonormal_columns(vecs @ (scale[:, None] * (vecs.T @ kernel_of_adjoint.vectors)))
 
 
 def kernel_via_theorem(problem: OffDiagonalProblem) -> KernelReport:
@@ -351,11 +352,10 @@ def _definitional_cross_check(
     For every basis vector ``x`` of the plus annihilator the coupling part
     of the form against the whole minus half-space must vanish, i.e.
     ``T* (A_plus + I)^(1/2) x = 0`` (and symmetrically).  Guards the
-    mapping step between the coupling kernels and the annihilators.
+    mapping step between the coupling kernels and the annihilators.  The
+    bound is settled Frobenius-first; a breach reports the 2-norm.
     """
-    tol = 1e-8 * (1.0 + problem.coupling_norm) * np.sqrt(
-        1.0 + problem.weight.source_norm
-    )
+    tol = 1e-8 * (1.0 + problem.coupling_norm) * np.sqrt(1.0 + problem.weight.source_norm)
     grow_plus, grow_minus = problem.shifted_roots
     halves = (
         ("plus", grow_plus, problem.coupling.conj().T, annihilator_plus),
@@ -363,8 +363,8 @@ def _definitional_cross_check(
     )
     for label, grown, adjoint, annihilator in halves:
         if annihilator.dim:
-            defect = float(np.linalg.norm(adjoint @ grown @ annihilator.vectors, 2))
-            if defect > tol:
+            defect = _norm2_above(adjoint @ (grown @ annihilator.vectors), tol)
+            if defect is not None:
                 raise InternalCheckError(
                     f"{label} annihilator fails the defining pairing: {defect:.3e} > {tol:.3e}"
                 )

@@ -35,6 +35,8 @@ def kernel_tol(n: int, norm: float, scale: float = 1.0) -> float:
 
     Eigenvalues with magnitude at or below ``tau`` are treated as zero.
     This is the kernel-decision threshold; only ``nullspace`` accepts an override.
+    ``subspace_intersection`` reads it with ``norm = 2``, ``scale = 8`` as a rule on
+    principal angles: ``sin theta <= sqrt(tau (2 - tau))``, that is ``1 - cos theta <= tau``.
     The flag, commutation, off-diagonal and residual bounds are separate constants.
     """
     return n * EPS * norm * scale
@@ -172,10 +174,6 @@ class SubspaceBasis:
     @property
     def ambient_dim(self) -> int:
         return self.vectors.shape[0]
-
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace."""
-        return self.vectors @ self.vectors.conj().T
 
     @staticmethod
     def trivial(n: int, dtype=np.float64) -> "SubspaceBasis":
@@ -346,12 +344,19 @@ def orthonormal_columns(vectors: np.ndarray) -> SubspaceBasis:
     return SubspaceBasis(q_fac[:, diag > tol])
 
 
+def _rejection(onto: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``(I - P) vecs`` for ``P`` the projector onto the orthonormal columns ``onto``, unformed."""
+    return vecs - onto @ (onto.conj().T @ vecs)
+
+
 def subspace_intersection(first: SubspaceBasis, second: SubspaceBasis) -> SubspaceBasis:
     """Intersection of two subspaces of a common ambient space.
 
-    Computed as the nullspace of ``(I - P1) + (I - P2)`` where ``P1, P2``
-    are the orthogonal projectors; the sum is PSD and vanishes exactly on
-    the intersection.
+    The rejection ``R = (I - P2) U1`` has the sines of the principal angles as its singular
+    values, and ``U1 V`` are the first's principal vectors, ``V`` those of ``R`` on the right.
+    Those with ``sin theta <= sqrt(tau (2 - tau))``, ``tau = kernel_tol(n, 2, scale=8)``, span
+    the intersection: the rule ``1 - cos theta <= tau`` on the eigenvalues of the PSD
+    ``(I - P1) + (I - P2)``, which vanishes exactly on the intersection.
     """
     if first.ambient_dim != second.ambient_dim:
         raise MatrixValidationError(
@@ -360,10 +365,9 @@ def subspace_intersection(first: SubspaceBasis, second: SubspaceBasis) -> Subspa
     n = first.ambient_dim
     if first.dim == 0 or second.dim == 0:
         return SubspaceBasis.trivial(n, dtype=first.vectors.dtype)
-    eye = np.eye(n, dtype=np.result_type(first.vectors, second.vectors))
-    gram = (eye - first.projector()) + (eye - second.projector())
-    # The defect operator has norm <= 2; use an absolute threshold tied to it.
-    return _kernel_of(_eigh(_hermitian(gram)), kernel_tol(n, 2.0, scale=8.0))
+    tau, u1 = kernel_tol(n, 2.0, scale=8.0), first.vectors
+    _, sines, right_h = np.linalg.svd(_rejection(second.vectors, u1), full_matrices=False)
+    return SubspaceBasis(u1 @ right_h[sines <= np.sqrt(tau * (2.0 - tau))].conj().T)
 
 
 def principal_angle(first: SubspaceBasis, second: SubspaceBasis) -> float:
@@ -384,12 +388,7 @@ def principal_angle(first: SubspaceBasis, second: SubspaceBasis) -> float:
     if first.dim == 0 or second.dim == 0:
         return float(np.pi / 2.0)
     u1, u2 = first.vectors, second.vectors
-    rejection_21 = u2 - u1 @ (u1.conj().T @ u2)
-    rejection_12 = u1 - u2 @ (u2.conj().T @ u1)
-    sine = max(
-        float(np.linalg.norm(rejection_21, 2)),
-        float(np.linalg.norm(rejection_12, 2)),
-    )
+    sine = max(np.linalg.norm(_rejection(u1, u2), 2), np.linalg.norm(_rejection(u2, u1), 2))
     return float(np.arcsin(min(sine, 1.0)))
 
 

@@ -36,22 +36,25 @@ from formrep.stability import _stability
 #: it: the direct-coefficient check compares diagonal blocks only.  The two
 #: block weights, the operator (decomposed once in assembly; the kernel
 #: oracle and the stability suite read that decomposition from the result)
-#: and the two kernel intersections account for its five ``eigh`` calls.
+#: account for its three ``eigh`` calls.
 #: ``ker T*``, ``ker T`` and the gap radius ``(1 + s_min^2)^(1/2)`` come from
 #: one full SVD of ``T``, so an offdiag run's five ``eigvalsh`` calls are
 #: the stability suite's.  The general path takes no SVD: the norm of
-#: ``[J, A]`` comes from its Gram matrix.  The offdiag SVDs are that one of ``T`` and the
+#: ``[J, A]`` comes from its Gram matrix.  The offdiag SVDs are that one of ``T``,
+#: the SVDs of the two kernel intersections' k-column rejections and the
 #: reported norms of non-symmetric matrices: the coupling norm (kept as
-#: ``norm(T, 2)``, the SVD work formbench's tracer counts), two principal
-#: angles and two annihilator pairings.  The suite takes
+#: ``norm(T, 2)``, the SVD work formbench's tracer counts) and the two sines of
+#: the principal angle.  The two annihilator pairings are settled by their
+#: Frobenius norms.  The suite takes
 #: no SVD and maps no function with ``apply_fn``; its five ``eigvalsh`` calls
 #: are the unit gap, three symmetric norms and the Gram matrix of the sign
 #: conjugate; its two residuals are Frobenius norms.
 #: An offdiag run maps functions of its two weight blocks, never of the n x n
-#: weight: ``(A_pm + I)^(1/2)`` once per problem, ``A_pm^(1/2)`` for the form,
-#: ``(A_pm + I)^-1`` for the direct coefficient and ``(A_pm + I)^(-1/2)`` for the
-#: two annihilators, eight maps of size p or q.  The second representation
-#: residual is read in the eigenbasis of ``B`` with no map.
+#: weight: ``(A_pm + I)^(1/2)`` once per problem, ``A_pm^(1/2)`` for the form and
+#: ``(A_pm + I)^-1`` for the direct coefficient, six maps of size p or q.  The two
+#: annihilators apply ``(A_pm + I)^(-1/2)`` to k columns in the block's eigenbasis,
+#: with no map.  The second representation residual is read in the eigenbasis of
+#: ``B`` with no map.
 #: ``[J, A]`` of a general run is settled by its Frobenius norm, with no
 #: ``eigvalsh``.  ``symmetrize`` validates each input matrix where it enters:
 #: ``J``, ``A`` and ``H`` of a general run; the two weight blocks of an offdiag
@@ -68,7 +71,7 @@ CASES = {
     "offdiag": (
         ("offdiag", (6, 5), 1, 0.5, (2, 1)),
         {
-            "eigh": 5, "eigvalsh": 5, "svd": 6, "apply_fn": 8, "symmetrize": 2,
+            "eigh": 3, "eigvalsh": 5, "svd": 6, "apply_fn": 6, "symmetrize": 2,
             "assemble_offdiag": 1, "_associated": 1,
         },
     ),

@@ -5,10 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+import formrep.offdiag as offdiag
 from formrep import (
     InternalCheckError,
     MatrixValidationError,
     NotPositiveSemidefiniteError,
+    SubspaceBasis,
     assemble_offdiag,
     canonical_involution,
     check_offdiagonal,
@@ -21,6 +23,7 @@ from formrep import (
     nullspace,
     offdiag_problem,
     op_norm,
+    orthonormal_columns,
     principal_angle,
     run,
 )
@@ -72,6 +75,48 @@ def similarity_route(problem):
     root = apply_fn(problem.weight, lambda lam: np.sqrt(1.0 + lam))
     signs = canonical_involution(problem.dim_plus, problem.dim_minus).matrix
     return root @ (signs + problem.full_coupling()) @ root - signs
+
+
+def graded_problem(floor, seed, dims=(24, 20), kernel_dim=2):
+    """An offdiag problem on a graded spectrum, and the exact kernel of its ``B``.
+
+    Each block is ``Q diag(0, 0, geomspace(1, floor)) Q*``, with an exact 2-dimensional kernel
+    ``Q[:, :2]``.  The coupling follows ``gen_random``'s mode ``seed % 3``, but is cut to the
+    blocks' exact ranges ``Q[:, 2:]``, not to the computed eigenvectors above ``1e-8``.  The exact
+    kernel of ``B`` is then ``ker A_plus`` in modes 1 and 2, plus ``ker A_minus`` in mode 1.
+    """
+    rng = np.random.default_rng(seed)
+    frames = [random_orthogonal(n, rng) for n in dims]
+    blocks = [
+        (frame * np.concatenate([np.zeros(kernel_dim), np.geomspace(1.0, floor, n - kernel_dim)]))
+        @ frame.T
+        for frame, n in zip(frames, dims)
+    ]
+    coupling = rng.standard_normal(dims)
+    coupling *= rng.uniform(0.3, 1.5) / np.linalg.norm(coupling, 2)
+    ran_plus, ran_minus = (frame[:, kernel_dim:] for frame in frames)
+    mode = seed % 3
+    if mode in (1, 2):
+        coupling = ran_plus @ (ran_plus.T @ coupling)
+    if mode == 1:
+        coupling = (coupling @ ran_minus) @ ran_minus.T
+    kernels = np.zeros((sum(dims), 2 * kernel_dim))
+    kernels[: dims[0], :kernel_dim] = frames[0][:, :kernel_dim]
+    kernels[dims[0] :, kernel_dim:] = frames[1][:, :kernel_dim]
+    exact = SubspaceBasis(kernels[:, : (0, 2, 1)[mode] * kernel_dim])
+    return offdiag_problem(*blocks, coupling), exact
+
+
+#: The floors below which the formula's dimension breaks on ``graded_problem``.
+GRADED_TILT = pytest.mark.xfail(
+    strict=True,
+    reason="the computed ker A_pm is tilted by about eps ||A_pm|| / f, beyond the kernel "
+    "intersection's sine threshold sqrt(32 n eps) (4e-7 at n = 24): the formula gets the "
+    "dimension wrong on 5 (f = 1e-10) and 20 (f = 1e-12) of the 30 seeds",
+)
+GRADED_FLOORS = [
+    1e-6, 1e-8, pytest.param(1e-10, marks=GRADED_TILT), pytest.param(1e-12, marks=GRADED_TILT)
+]
 
 
 class TestCheckOffdiagonal:
@@ -346,6 +391,21 @@ class TestKernelTheorem:
             assert report.dims_match
             assert report.principal_angle <= 1e-8
 
+    def test_annihilators_match_the_mapped_block_oracle(self):
+        # Oracle: (A_pm + I)^(-1/2) mapped as a full block with apply_fn, then applied.
+        for seed in range(6):
+            problem = random_problem(seed, dims=(7, 5), kernel_dims=(2, 1))
+            report = kernel_via_theorem(problem)
+            halves = (
+                (problem.weight_plus, problem.adjoint_kernel, report.annihilator_plus),
+                (problem.weight_minus, problem.coupling_kernel, report.annihilator_minus),
+            )
+            for block, kernel, annihilator in halves:
+                inv_root = apply_fn(block, lambda lam: 1.0 / np.sqrt(1.0 + lam))
+                mapped = orthonormal_columns(inv_root @ kernel.vectors)
+                assert annihilator.dim == mapped.dim
+                assert principal_angle(annihilator, mapped) <= 1e-12
+
     def test_theorem_dimension_identity(self):
         problem = random_problem(seed=31, dims=(5, 5), kernel_dims=(2, 1))
         report = kernel_via_theorem(problem)
@@ -354,3 +414,51 @@ class TestKernelTheorem:
         meet_plus = subspace_intersection(report.ker_diag_plus, report.annihilator_plus)
         meet_minus = subspace_intersection(report.ker_diag_minus, report.annihilator_minus)
         assert report.theorem_kernel.dim == meet_plus.dim + meet_minus.dim
+
+    @pytest.mark.parametrize("half", ["plus", "minus"])
+    def test_wrong_annihilator_breaches_the_pairing(self, half, monkeypatch):
+        # The first two coordinate vectors of one half stand in for its annihilator; the check
+        # settles the bound by the Frobenius norm and reports the 2-norm of T* G_plus U (plus)
+        # or T G_minus U (minus).
+        problem = random_problem(0, dims=(6, 5))
+        grown, pairing = {
+            "plus": (problem.shifted_roots[0], problem.coupling.T),
+            "minus": (problem.shifted_roots[1], problem.coupling),
+        }[half]
+        wrong = SubspaceBasis(np.eye(grown.shape[0])[:, :2])
+        annihilator = offdiag._annihilator
+
+        def swapped(block, kernel):
+            return wrong if block.n == wrong.ambient_dim else annihilator(block, kernel)
+
+        monkeypatch.setattr(offdiag, "_annihilator", swapped)
+        defect = np.linalg.norm(pairing @ grown @ wrong.vectors, 2)
+        with pytest.raises(InternalCheckError, match=f"{half} annihilator fails") as info:
+            kernel_via_theorem(problem)
+        assert f": {defect:.3e} > " in str(info.value)
+
+    def test_graded_spectrum_oracle_dimension(self):
+        # The nullspace of B finds the exact dimension at every floor, where the formula does not.
+        for floor in (1e-6, 1e-8, 1e-10, 1e-12):
+            for seed in range(30):
+                problem, exact = graded_problem(floor, seed)
+                assert kernel_via_theorem(problem).oracle_kernel.dim == exact.dim
+
+    @pytest.mark.parametrize("floor", GRADED_FLOORS)
+    def test_graded_spectrum_theorem_kernel(self, floor):
+        # Davis-Kahan scale s = eps max(||B|| / gap_B, ||A_pm|| / f), gap_B the smallest nonzero
+        # |eig| of B and ||A_pm|| = 1.  The worst angle to the exact kernel measured 0.27 s at
+        # f = 1e-6 (0.20 s with the projector-sum intersection).
+        eps = np.finfo(np.float64).eps
+        wrong, worst = [], 0.0
+        for seed in range(30):
+            problem, exact = graded_problem(floor, seed)
+            kernel = kernel_via_theorem(problem).theorem_kernel
+            if kernel.dim != exact.dim:
+                wrong.append(seed)
+                continue
+            magnitudes = np.sort(np.abs(assemble_offdiag(problem).decomposition.eigenvalues))
+            scale = eps * max(magnitudes[-1] / magnitudes[exact.dim], 1.0 / floor)
+            worst = max(worst, principal_angle(kernel, exact) / scale)
+        assert wrong == []
+        assert worst <= 1.0

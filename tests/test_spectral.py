@@ -37,7 +37,7 @@ from formrep import (
     symmetrize,
     weight_sqrt,
 )
-from formrep.spectral import _norm2_above
+from formrep.spectral import _norm2_above, random_orthogonal
 
 
 def random_symmetric(n, seed, scale=1.0):
@@ -302,6 +302,29 @@ class TestResolventIdentity:
             resolvent_identity_residual(mat, np.diag([5.0, 6.0]), 2.0 + 1e-15)
 
 
+def projector_sum_meet(first, second):
+    """Oracle intersection: the nullspace of ``(I - P1) + (I - P2)``, formed from the n x n
+    projectors, at ``kernel_tol(n, 2, scale=8)``."""
+    n = first.ambient_dim
+    u1, u2 = first.vectors, second.vectors
+    gram = 2.0 * np.eye(n) - u1 @ u1.conj().T - u2 @ u2.conj().T
+    return nullspace(gram, kernel_tol(n, 2.0, scale=8.0))
+
+
+def tilted_planes(n, theta, dtype, rng):
+    """Planes ``span(w0, w1)`` and ``span(cos(theta) w0 + sin(theta) w2, w3)`` of a random
+    orthonormal (``dtype`` complex: unitary) frame ``w``, each basis mixed by a rotation; their
+    principal angles are ``theta`` and ``pi / 2``."""
+    gauss = rng.standard_normal((n, n))
+    if dtype is complex:
+        gauss = gauss + 1j * rng.standard_normal((n, n))
+    frame = np.linalg.qr(gauss)[0]
+    tilted = np.cos(theta) * frame[:, 0] + np.sin(theta) * frame[:, 2]
+    first = frame[:, :2] @ random_orthogonal(2, rng)
+    second = np.column_stack([tilted, frame[:, 3]]) @ random_orthogonal(2, rng)
+    return SubspaceBasis(first), SubspaceBasis(second)
+
+
 class TestSubspaceUtilities:
     def test_orthonormal_columns_drops_dependent(self):
         vecs = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
@@ -320,6 +343,28 @@ class TestSubspaceUtilities:
         e = np.eye(3)
         full = SubspaceBasis(e)
         assert subspace_intersection(full, SubspaceBasis.trivial(3)).dim == 0
+
+    @pytest.mark.parametrize("n, dtype", [(6, float), (40, float), (192, float), (40, complex)])
+    def test_intersection_matches_projector_sum_oracle_near_threshold(self, n, dtype):
+        # Two planes with principal angles theta and pi/2 meet in a line iff theta is at most
+        # theta_thr = arcsin(sqrt(tau (2 - tau))), tau = kernel_tol(n, 2, scale=8): the oracle's
+        # rule 1 - cos theta <= tau on the eigenvalues of (I - P1) + (I - P2).  The oracle's
+        # basis vector bisects the two principal vectors; the intersection returns the first's.
+        tau = kernel_tol(n, 2.0, scale=8.0)
+        threshold = np.arcsin(np.sqrt(tau * (2.0 - tau)))
+        rng = np.random.default_rng(n)
+        dims = []
+        for ratio in (0.0, 0.5, 0.9, 1.1, 2.0):
+            theta = ratio * threshold
+            first, second = tilted_planes(n, theta, dtype, rng)
+            meet, oracle = subspace_intersection(first, second), projector_sum_meet(first, second)
+            assert meet.dim == oracle.dim
+            dims.append(meet.dim)
+            u1 = first.vectors
+            assert np.linalg.norm(meet.vectors - u1 @ (u1.conj().T @ meet.vectors)) <= 1e-14
+            bisected = theta / 2.0 if meet.dim else 0.0
+            assert principal_angle(meet, oracle) == pytest.approx(bisected, abs=1e-14)
+        assert dims == [1, 1, 1, 0, 0]
 
     def test_principal_angle_identical(self):
         rng = np.random.default_rng(23)
