@@ -35,6 +35,7 @@ from .spectral import (
     SpectralDecomposition,
     _eigh,
     _hermitian,
+    _in_frame,
     _min_abs,
     _norm2_above,
     _signum,
@@ -121,11 +122,7 @@ def _clamped_weight(sym: np.ndarray) -> SpectralDecomposition:
     if lowest < 0.0:
         logger.debug("clamping weight eigenvalues by %.3e", -lowest)
     clamped = np.where(decomp.eigenvalues < 0.0, 0.0, decomp.eigenvalues)
-    return SpectralDecomposition(
-        eigenvalues=clamped,
-        eigenvectors=decomp.eigenvectors,
-        source_norm=decomp.source_norm,
-    )
+    return SpectralDecomposition(clamped, decomp.eigenvectors, decomp.source_norm)
 
 
 def weight_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -165,9 +162,10 @@ def check_gap_hypothesis(
 
 def _certify(
     mat_a: np.ndarray, mat_h: np.ndarray, inv: Involution
-) -> tuple[GapCertificate, np.ndarray, SpectralDecomposition, np.ndarray]:
+) -> tuple[GapCertificate, np.ndarray, SpectralDecomposition, np.ndarray, np.ndarray]:
     """``check_gap_hypothesis``, also returning the symmetrized ``H``, the clamped
-    decomposition of ``A`` and the eigenvalues of ``H``; ``[J, A]`` is settled Frobenius-first."""
+    decomposition ``W diag(w) W*`` of ``A``, the eigenvalues of ``H`` and ``J_W = W* J W``;
+    ``[J, A]`` is settled Frobenius-first as ``W* [J, A] W = J_W o (w_j - w_i)``."""
     sym_a = symmetrize(mat_a, "weight")
     sym_h = symmetrize(mat_h, "coefficient")
     if sym_a.shape[0] != sym_h.shape[0] or sym_a.shape[0] != inv.n:
@@ -183,7 +181,8 @@ def _certify(
             f"coefficient matrix is singular: min |eigenvalue| = {h_gap:.3e}"
         )
     bound = COMMUTATION_TOL * max(weight.source_norm, _EPS_FLOOR)
-    commutator = _norm2_above(inv.matrix @ sym_a - sym_a @ inv.matrix, bound)
+    j_frame, w = _in_frame(weight, inv.matrix), weight.eigenvalues
+    commutator = _norm2_above(j_frame * (w - w[:, None]), bound)
     if commutator is not None:
         raise CommutationError(
             f"involution does not commute with the weight: ||[J, A]|| = {commutator:.3e}"
@@ -201,7 +200,7 @@ def _certify(
         alpha_star=alpha_star if refusal is None else None,
         refusal=refusal,
     )
-    return certificate, sym_h, weight, h_vals
+    return certificate, sym_h, weight, h_vals, j_frame
 
 
 def _margin_refusal(block: str, vals: np.ndarray, sign: int) -> str | None:
@@ -229,18 +228,10 @@ def shifted_coefficient(
     middle factor of ``B + J`` with respect to ``(A + I)^(1/2)``.
     """
     weight = _clamped_weight(symmetrize(mat_a, "weight"))
-    compressed, shifted = _shifted_pair(weight, symmetrize(mat_h, "coefficient"), inv)
-    return _hermitian(compressed), shifted
-
-
-def _shifted_pair(
-    weight: SpectralDecomposition, sym_h: np.ndarray, inv: Involution
-) -> tuple[np.ndarray, np.ndarray]:
-    """The raw product ``R H R`` and the shifted coefficient, exactly self-adjoint."""
     contraction = apply_fn(weight, lambda lam: np.sqrt(lam / (1.0 + lam)))
     resolvent_at_one = apply_fn(weight, lambda lam: 1.0 / (1.0 + lam))
-    compressed = contraction @ sym_h @ contraction
-    return compressed, _hermitian(compressed + resolvent_at_one @ inv.matrix)
+    compressed = contraction @ symmetrize(mat_h, "coefficient") @ contraction
+    return _hermitian(compressed), _hermitian(compressed + resolvent_at_one @ inv.matrix)
 
 
 def _pairing(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -283,14 +274,13 @@ def _standalone(
     side: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> float:
     """Residual of ``side`` against the form, computed from the raw matrices."""
-    sym_a = symmetrize(mat_a, "weight")
+    weight = _clamped_weight(symmetrize(mat_a, "weight"))
     sym_h = symmetrize(mat_h, "coefficient")
-    weight = _clamped_weight(sym_a)
     root = apply_fn(weight, np.sqrt)
     if probes is not None:  # an empty list stacks to 1-d arrays, which are rejected
         probes = (np.array([x for x, _ in probes]).T, np.array([y for _, y in probes]).T)
     return _probe_residuals(
-        default_probes(sym_a.shape[0], seed) if probes is None else probes,
+        default_probes(weight.n, seed) if probes is None else probes,
         (1.0 + weight.source_norm) * max(_sym_norm(sym_h), 1e-300),
         lambda xs, ys: _pairing(root @ xs, sym_h @ (root @ ys)),
         side,
@@ -341,7 +331,9 @@ def associate_general(
 
     Runs the gap check, builds ``B = A^(1/2) H A^(1/2)`` and the shifted
     coefficient route ``(A+I)^(1/2) H_shifted (A+I)^(1/2)``, verifies the two
-    routes agree, and measures the representation residuals.
+    routes agree, and measures the representation residuals.  All of it is done in the frame
+    of ``A = W diag(w) W*``, with ``r = w^(1/2)``, ``g = (1 + w)^(1/2)``: ``B_W = r H_W r`` and
+    ``H_shifted,W = B_W / (g g*) + J_W / g^2``; only ``B`` returns to the original basis.
 
     Parameters
     ----------
@@ -356,29 +348,32 @@ def associate_general(
     InternalCheckError
         If the two assembly routes disagree beyond ``1e-10 * scale``.
     """
-    certificate, sym_h, weight, h_vals = _certify(mat_a, mat_h, inv)
+    certificate, sym_h, weight, h_vals, j_frame = _certify(mat_a, mat_h, inv)
     if not certificate.satisfied and not force:
         raise HypothesisRefusedError(
             f"spectral-gap condition refused: {certificate.refusal}", certificate
         )
-    root = apply_fn(weight, np.sqrt)
-    shifted_root = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
-    operator = _hermitian(root @ sym_h @ root)
-    shifted = _shifted_pair(weight, sym_h, inv)[1]
-    via_shifted = shifted_root @ shifted @ shifted_root
+    h_frame = _in_frame(weight, sym_h)
+    del sym_h  # each n x n matrix is dropped after its last use
+    root, grow = np.sqrt(weight.eigenvalues[:, None]), np.sqrt(1.0 + weight.eigenvalues[:, None])
+    b_frame = root * h_frame * root.T
+    shifted = _hermitian(b_frame / (grow * grow.T) + j_frame / grow**2)
     scale = (1.0 + weight.source_norm) * max(float(np.max(np.abs(h_vals))), 1e-300)
-    route_gap = _norm2_above(via_shifted - inv.matrix - operator, 1e-10 * scale)
-    del shifted_root, via_shifted  # each n x n matrix is dropped after its last use
+    route_gap = _norm2_above(grow * shifted * grow.T - j_frame - b_frame, 1e-10 * scale)
     if route_gap is not None:
         raise InternalCheckError(
             f"assembly routes disagree: ||(B~ - J) - B|| = {route_gap:.3e} "
             f"exceeds {1e-10 * scale:.3e}"
         )
     gap_radius = _min_abs(shifted)
-    del shifted
+    del shifted, j_frame
+    to_frame = weight.eigenvectors.conj().T
+    operator = _hermitian(weight.eigenvectors @ b_frame @ to_frame)
+    del b_frame
     return _probed(
-        operator, _eigh(operator), lambda xs, ys: _pairing(root @ xs, sym_h @ (root @ ys)), scale,
-        probe_seed, gap_radius=gap_radius, certificate=certificate, weight=weight,
+        operator, _eigh(operator),
+        lambda xs, ys: _pairing(root * (to_frame @ xs), h_frame @ (root * (to_frame @ ys))),
+        scale, probe_seed, gap_radius=gap_radius, certificate=certificate, weight=weight,
     )
 
 

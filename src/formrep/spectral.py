@@ -8,7 +8,7 @@ intersections, principal angles).
 
 All routines are pure functions over immutable values; no shared state.
 Public routines validate each matrix argument with ``symmetrize``; the private
-cores (``_eigh``, ``_min_abs``, ``_sym_norm``, ``_hermitian``) validate nothing.
+cores (``_eigh``, ``_min_abs``, ``_sym_norm``, ``_hermitian``, ``_in_frame``) validate nothing.
 """
 
 from __future__ import annotations
@@ -88,6 +88,12 @@ def _hermitian(mat: np.ndarray) -> np.ndarray:
     """``(M + M*) / 2``, exactly self-adjoint: ``symmetrize`` without the validation, for
     products the library forms that are self-adjoint up to rounding."""
     return (mat + mat.conj().T) / 2.0
+
+
+def _in_frame(decomp: SpectralDecomposition, mat: np.ndarray) -> np.ndarray:
+    """``V* M V``, exactly self-adjoint: the frame where ``f`` of ``decomp`` is ``diag(f(w))``."""
+    vecs = decomp.eigenvectors
+    return _hermitian(vecs.conj().T @ mat @ vecs)
 
 
 def _gram_norm(mat: np.ndarray) -> float:

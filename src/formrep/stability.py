@@ -28,12 +28,12 @@ from .spectral import (
     _eigh,
     _gram_norm,
     _hermitian,
+    _in_frame,
     _min_abs,
     _norm2_above,
     _signum,
     _spectral_map,
     _sym_norm,
-    apply_fn,
     eig_sym,
     kernel_tol,
     symmetrize,
@@ -90,12 +90,7 @@ def sgn_matrix(mat: np.ndarray, zero_sign: int = 1) -> np.ndarray:
     the result is a unitary involution.  For invertible input the choice of
     ``zero_sign`` is immaterial.
     """
-    s = _validate_zero_sign(zero_sign)
-    return _sign_of(eig_sym(mat), s)
-
-
-def _sign_of(decomp: SpectralDecomposition, s: int) -> np.ndarray:
-    """``sgn_matrix`` of the matrix that ``decomp`` decomposes."""
+    s, decomp = _validate_zero_sign(zero_sign), eig_sym(mat)
     return _spectral_map(decomp, _signum(decomp, float(s))(decomp.eigenvalues))
 
 
@@ -136,7 +131,8 @@ def _stability(
     ``W`` (every norm reported is unitarily invariant): ``(A+I)^(1/2)`` and its
     inverse are diagonal there, and ``f(B)`` is ``Q diag(f(lam)) Q*``, ``Q = W* V``.
     Norms come from ``eigvalsh`` of symmetric matrices, of the Gram matrix of ``K``, or
-    from ``lam``; no SVD is taken.  The residuals ``X~ F - I`` and ``K^2 - I`` are Frobenius
+    from ``lam``; no SVD is taken.  ``Y = X^-1``, so ``||Y|| = 1 / min |eig X|`` comes
+    from the spectrum of ``X``.  The residuals ``X~ F - I`` and ``K^2 - I`` are Frobenius
     norms, upper bounds on their 2-norms, so flags i and iv are at least as strict as with
     the 2-norm.  The unit gap and the forward pair use ``sym_b`` itself.
     Each n x n matrix lives from its first use to its last, in this order: ``B + sgn B``
@@ -150,11 +146,11 @@ def _stability(
         raise InternalCheckError(
             f"shifted matrix lost its unit gap: min |eig(B + sgn B)| = {shifted_gap!r}"
         )
-    to_frame = weight.eigenvectors.conj().T  # W*
     grow = np.sqrt(1.0 + weight.eigenvalues)[:, None]  # g as a column
     shrink = 1.0 / grow
-    shifted_forward_pair = shrink * (to_frame @ shifted @ weight.eigenvectors) * shrink.T
+    shifted_forward_pair = shrink * _in_frame(weight, shifted) * shrink.T
     del shifted  # dropped after its last use, as is each n x n matrix below
+    to_frame = weight.eigenvectors.conj().T  # W*
     rotated = SpectralDecomposition(lam, to_frame @ decomp.eigenvectors, decomp.source_norm)
 
     def within(mat: np.ndarray, scale: float) -> bool:
@@ -172,12 +168,12 @@ def _stability(
     del shifted_forward_pair
     weighted_abs = shrink * _spectral_map(rotated, np.abs(lam + signs)) * shrink.T
     weighted_abs_inverse = grow * _spectral_map(rotated, 1.0 / np.abs(lam + signs)) * grow.T
-    norm_x = _sym_norm(weighted_abs)
-    norm_y = _sym_norm(weighted_abs_inverse)
+    x_vals = np.abs(np.linalg.eigvalsh(weighted_abs))
+    norm_x, norm_y = float(np.max(x_vals)), 1.0 / float(np.min(x_vals))
     flag_x = symmetric(weighted_abs, norm_x)
     flag_y = symmetric(weighted_abs_inverse, norm_y)
     pair_x_y = within(_minus_eye(weighted_abs @ weighted_abs_inverse), norm_x * norm_y)
-    del weighted_abs_inverse
+    del weighted_abs_inverse, x_vals
     sign_conjugate = grow * _spectral_map(rotated, signs) * shrink.T
     norm_k = _gram_norm(sign_conjugate)
     involution_residual = float(np.linalg.norm(_minus_eye(sign_conjugate @ sign_conjugate)))
@@ -215,6 +211,7 @@ def sufficient_definite(mat_h: np.ndarray, operator: np.ndarray) -> bool:
     so its unitary sign with ``zero_sign=+1`` is the identity (and the
     mirror statement for strictly negative coefficients).  Returns False
     when the coefficient is indefinite and the criterion does not apply.
+    The defect ``||sgn B - s I||_2 = max |sgn(lam) - s|`` is read off ``lam = eig B``.
     """
     sym_h = symmetrize(mat_h, "coefficient")
     sym_b = symmetrize(operator, "operator")
@@ -222,9 +219,10 @@ def sufficient_definite(mat_h: np.ndarray, operator: np.ndarray) -> bool:
     tau = kernel_tol(sym_h.shape[0], float(np.max(np.abs(vals), initial=0.0)))
     for sign, definite in ((1, vals[0] > tau), (-1, vals[-1] < -tau)):
         if definite:
-            sign_b = _sign_of(_eigh(sym_b), sign)
-            defect = _norm2_above(sign_b - sign * np.eye(sym_b.shape[0]), 1e-10)
-            if defect is not None:
+            lam = np.linalg.eigvalsh(sym_b)
+            zero = np.abs(lam) <= kernel_tol(len(lam), float(np.max(np.abs(lam))))
+            defect = float(np.max(np.abs(np.where(zero, sign, np.sign(lam)) - sign)))
+            if defect > 1e-10:
                 raise InternalCheckError(
                     f"{'positive' if sign > 0 else 'negative'} coefficient but sign is not "
                     f"{sign:+d} times the identity: defect {defect:.3e}"
@@ -247,29 +245,30 @@ def sufficient_semibounded(
     inverse shifted matrix.  Returns ``(True, c)`` on success, otherwise
     ``(False, last c tried)`` after ``_MAX_DOUBLINGS`` constants, the same
     value returned at once when ``B + J`` is singular.
+
+    With ``G = (A + I)^(1/2)``, ``H_shifted + c G^-2 = G^-1 (G H_shifted G + c) G^-1``,
+    so by Sylvester's law of inertia it is positive exactly when ``G H_shifted G + c``
+    is: one spectrum ``mu`` of ``G H_shifted G`` decides every constant, and ``c`` passes
+    when ``mu_min + c`` exceeds ``kernel_tol`` of ``max |mu + c|``.
     """
-    sym_a = symmetrize(mat_a, "weight")
+    weight = _clamped_weight(symmetrize(mat_a, "weight"))
     sym_coeff = symmetrize(shifted_coeff, "shifted coefficient")
     sym_b = symmetrize(operator, "operator")
-    n = sym_a.shape[0]
-    weight = _clamped_weight(sym_a)
+    n = weight.n
     shifted_vals = np.linalg.eigvalsh(sym_b + inv.matrix)
-    shifted_norm = float(np.max(np.abs(shifted_vals), initial=0.0))
-    c = _sym_norm(sym_b) + 1.0
-    if not min(np.abs(shifted_vals)) > kernel_tol(n, shifted_norm):
+    constants = (_sym_norm(sym_b) + 1.0) * 2.0 ** np.arange(_MAX_DOUBLINGS)  # the doublings
+    if not min(np.abs(shifted_vals)) > kernel_tol(n, float(np.max(np.abs(shifted_vals)))):
         # The spectrum of a singular B + J is never clear, so no constant can certify.
-        return False, float(c * 2.0 ** (_MAX_DOUBLINGS - 1))
+        return False, float(constants[-1])
 
     tau_inverse = kernel_tol(n, 1.0 / max(min(np.abs(shifted_vals)), 1e-300))
-    resolvent_at_one = apply_fn(weight, lambda lam: 1.0 / (1.0 + lam))
-    for _ in range(_MAX_DOUBLINGS):
-        candidate_vals = np.linalg.eigvalsh(sym_coeff + c * resolvent_at_one)
-        tau_pos = kernel_tol(n, float(np.max(np.abs(candidate_vals))))
-        spectrum_clear = bool(np.min(np.abs(1.0 / shifted_vals - (-1.0 / c))) > tau_inverse)
-        if candidate_vals[0] > tau_pos and spectrum_clear:
-            return True, float(c)
-        c *= 2.0
-    return False, float(c / 2.0)
+    grow = np.sqrt(1.0 + weight.eigenvalues)[:, None]
+    congruent_vals = np.linalg.eigvalsh(grow * _in_frame(weight, sym_coeff) * grow.T)
+    candidates = congruent_vals[:, None] + constants  # column k: spectrum of G H_shifted G + c_k
+    positive = candidates[0] > kernel_tol(n, np.max(np.abs(candidates), axis=0))
+    clear = np.min(np.abs(1.0 / shifted_vals[:, None] - (-1.0 / constants)), axis=0) > tau_inverse
+    passed = np.flatnonzero(positive & clear)
+    return (True, float(constants[passed[0]])) if passed.size else (False, float(constants[-1]))
 
 
 #: Threshold scale for nonzero-spectrum detection: eigenvalues of the
@@ -362,14 +361,12 @@ def family_diagnostics(
                 break
         outcomes.append(any_certified)
 
-        root = apply_fn(weight, np.sqrt)
-        operator = _hermitian(root @ sym_h @ root)
+        h_frame, vecs, w = _in_frame(weight, sym_h), weight.eigenvectors, weight.eigenvalues
+        operator = _hermitian(vecs @ (np.sqrt(w)[:, None] * h_frame * np.sqrt(w)) @ vecs.conj().T)
         decomp = _eigh(operator)
         report = _stability(weight, operator, decomp, 1)
-
-        grow = np.sqrt(1.0 + weight.eigenvalues)  # (A+I)^(1/2) H (A+I)^(-1/2) in the eigenbasis
-        in_frame = weight.eigenvectors.conj().T @ sym_h @ weight.eigenvectors
-        conj_norm = _gram_norm(grow[:, None] * in_frame / grow)
+        # (A+I)^(1/2) H (A+I)^(-1/2) in the eigenbasis
+        conj_norm = _gram_norm(np.sqrt(1.0 + w)[:, None] * h_frame / np.sqrt(1.0 + w))
 
         sequences["operator"].append(decomp.source_norm)
         sequences["weight_condition"].append(weight.source_norm / float(weight.eigenvalues[0]))

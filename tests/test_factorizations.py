@@ -38,7 +38,7 @@ from formrep.stability import _stability
 #: oracle and the stability suite read that decomposition from the result)
 #: account for its three ``eigh`` calls.
 #: ``ker T*``, ``ker T`` and the gap radius ``(1 + s_min^2)^(1/2)`` come from
-#: one full SVD of ``T``, so an offdiag run's five ``eigvalsh`` calls are
+#: one full SVD of ``T``, so an offdiag run's four ``eigvalsh`` calls are
 #: the stability suite's.  The general path takes no SVD: the norm of
 #: ``[J, A]`` comes from its Gram matrix.  The offdiag SVDs are that one of ``T``,
 #: the SVDs of the two kernel intersections' k-column rejections and the
@@ -46,9 +46,12 @@ from formrep.stability import _stability
 #: ``norm(T, 2)``, the SVD work formbench's tracer counts) and the two sines of
 #: the principal angle.  The two annihilator pairings are settled by their
 #: Frobenius norms.  The suite takes
-#: no SVD and maps no function with ``apply_fn``; its five ``eigvalsh`` calls
-#: are the unit gap, three symmetric norms and the Gram matrix of the sign
-#: conjugate; its two residuals are Frobenius norms.
+#: no SVD and maps no function with ``apply_fn``; its four ``eigvalsh`` calls
+#: are the unit gap, the norms of ``X~`` and ``X`` (``||Y|| = 1 / min |eig X|``, as
+#: ``Y = X^-1``) and the Gram matrix of the sign conjugate; its two residuals are
+#: Frobenius norms.
+#: A general run maps no function with ``apply_fn``: every function of the weight
+#: is a diagonal in its eigenbasis ``W``, where ``H`` and ``J`` are taken once each.
 #: An offdiag run maps functions of its two weight blocks, never of the n x n
 #: weight: ``(A_pm + I)^(1/2)`` once per problem, ``A_pm^(1/2)`` for the form and
 #: ``(A_pm + I)^-1`` for the direct coefficient, six maps of size p or q.  The two
@@ -64,14 +67,14 @@ CASES = {
     "general": (
         ("general", 16, 3),
         {
-            "eigh": 3, "eigvalsh": 10, "svd": 0, "apply_fn": 4, "symmetrize": 3,
+            "eigh": 3, "eigvalsh": 9, "svd": 0, "apply_fn": 0, "symmetrize": 3,
             "assemble_offdiag": 0, "_associated": 0,
         },
     ),
     "offdiag": (
         ("offdiag", (6, 5), 1, 0.5, (2, 1)),
         {
-            "eigh": 3, "eigvalsh": 5, "svd": 6, "apply_fn": 6, "symmetrize": 2,
+            "eigh": 3, "eigvalsh": 4, "svd": 6, "apply_fn": 6, "symmetrize": 2,
             "assemble_offdiag": 1, "_associated": 1,
         },
     ),
@@ -95,7 +98,7 @@ def counts(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(importlib.import_module("numpy.linalg._linalg"), "svd", counted_svd)
     counted_apply = counted("apply_fn", spectral.apply_fn)
-    for module in ("spectral", "general", "offdiag", "stability"):
+    for module in ("spectral", "general", "offdiag"):
         monkeypatch.setattr(f"formrep.{module}.apply_fn", counted_apply)
     counted_symmetrize = counted("symmetrize", spectral.symmetrize)
     for module in ("spectral", "involution", "general", "offdiag", "stability"):
@@ -155,7 +158,7 @@ def test_stability_suite_takes_no_svd_and_no_callback_map(case, counts):
     result, _ = built(case)
     counts.clear()
     _stability(result.weight, result.operator, result.decomposition, 1)
-    # eigvalsh: the unit gap, three symmetric norms and the sign conjugate's Gram matrix.
+    # eigvalsh: the unit gap, the norms of X~ and X, and the sign conjugate's Gram matrix.
     assert {name: counts[name] for name in ("eigh", "eigvalsh", "svd", "apply_fn")} == {
-        "eigh": 0, "eigvalsh": 5, "svd": 0, "apply_fn": 0
+        "eigh": 0, "eigvalsh": 4, "svd": 0, "apply_fn": 0
     }

@@ -6,6 +6,7 @@ import pytest
 from formrep import (
     EnumerationBoundError,
     FormrepError,
+    InternalCheckError,
     associate_general,
     constant_pair,
     counterexample_pair,
@@ -22,11 +23,35 @@ from formrep import (
     sufficient_semibounded,
     weight_sqrt,
 )
+from formrep.general import _clamped_weight
+from formrep.spectral import apply_fn, kernel_tol, op_norm, symmetrize
 
 
 def hypothesis_instance(n, seed, alpha=0.5):
     spec = gen_random("general", n, seed, alpha)
     return spec.matrices["A"], spec.matrices["H"], make_involution(spec.matrices["J"])
+
+
+def semibounded_oracle(mat_a, shifted_coeff, operator, inv):
+    """``sufficient_semibounded`` as a per-doubling search: one ``eigvalsh`` of
+    ``H_shifted + c (A + I)^-1``, with the resolvent mapped by ``apply_fn``, per constant."""
+    weight = _clamped_weight(symmetrize(mat_a))
+    sym_coeff, sym_b = symmetrize(shifted_coeff), symmetrize(operator)
+    n = weight.n
+    shifted_vals = np.linalg.eigvalsh(sym_b + inv.matrix)
+    c = op_norm(sym_b) + 1.0
+    if not min(np.abs(shifted_vals)) > kernel_tol(n, float(np.max(np.abs(shifted_vals)))):
+        return False, float(c * 2.0**59)
+    tau_inverse = kernel_tol(n, 1.0 / max(min(np.abs(shifted_vals)), 1e-300))
+    resolvent_at_one = apply_fn(weight, lambda lam: 1.0 / (1.0 + lam))
+    for _ in range(60):
+        candidate_vals = np.linalg.eigvalsh(sym_coeff + c * resolvent_at_one)
+        tau_pos = kernel_tol(n, float(np.max(np.abs(candidate_vals))))
+        spectrum_clear = bool(np.min(np.abs(1.0 / shifted_vals + 1.0 / c)) > tau_inverse)
+        if candidate_vals[0] > tau_pos and spectrum_clear:
+            return True, float(c)
+        c *= 2.0
+    return False, float(c / 2.0)
 
 
 class TestSgnMatrix:
@@ -130,6 +155,13 @@ class TestSufficientDefinite:
         coeff = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert not sufficient_definite(coeff, coeff)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_wrong_signed_eigenvalue_raises(self, sign):
+        # ||sgn B - s I|| = max |sgn(lam) - s| = 2 for one eigenvalue of the wrong sign.
+        operator = sign * np.diag([1.0, 2.0, -1.0, 0.0])
+        with pytest.raises(InternalCheckError, match="defect 2.000e[+]00$"):
+            sufficient_definite(sign * np.eye(4), operator)
+
 
 class TestSufficientSemibounded:
     def test_zero_weight_doubles_once(self):
@@ -160,6 +192,32 @@ class TestSufficientSemibounded:
         start = np.linalg.norm(result.operator, 2) + 1.0
         steps = int(round(np.log2(found / start))) + 1
         assert steps <= 20
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_the_per_doubling_oracle(self, seed):
+        # Odd seeds pair B with a coefficient unrelated to it, -k I plus a symmetric
+        # perturbation, so the search takes several doublings.
+        weight, coeff, inv = hypothesis_instance(3 + seed % 17, seed)
+        operator = associate_general(weight, coeff, inv).operator
+        shifted = shifted_coefficient(weight, coeff, inv)[1]
+        if seed % 2:
+            rng = np.random.default_rng(seed)
+            noise = rng.standard_normal(weight.shape)
+            shifted = -rng.uniform(1.0, 50.0) * np.eye(len(weight)) + (noise + noise.T) / 4
+        expected = semibounded_oracle(weight, shifted, operator, inv)
+        assert sufficient_semibounded(weight, shifted, operator, inv) == expected
+
+    def test_one_spectrum_decides_every_doubling(self, monkeypatch):
+        # -20 + c / (1 + w) > 0 for w up to 3 needs c > 80: from ||B|| + 1 = 4 the search
+        # doubles five times to 128, on the spectra of B + J, of B and of G H_shifted G alone.
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        weight = np.diag([0.5, 1.5, 3.0, 0.0])
+        inv = make_involution(np.diag([1.0, 1.0, -1.0, -1.0]))
+        found = sufficient_semibounded(weight, -20.0 * np.eye(4), weight, inv)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        assert found == semibounded_oracle(weight, -20.0 * np.eye(4), weight, inv) == (True, 128.0)
 
     def test_singular_shifted_operator_stops_at_once(self, monkeypatch):
         # B + J = diag(0, 1) is singular, so no constant clears its spectrum; the search
