@@ -13,7 +13,10 @@ JSON written to ``--out`` (or standard output) holds, per size, the best and
 all wall times in seconds, the peak RSS in MB, the traced peak of the extra
 run in units of ``n^2`` doubles (``n`` the problem dimension), whether every
 run passed, the best and all ``save_spec`` and ``load_spec`` times in
-seconds, and the traced peak of one more ``save_spec`` in MB.
+seconds, and the traced peaks of one more ``save_spec`` and one more
+``load_spec`` in MB.  ``peak_rss_mb`` is read before any file I/O, so only
+``load_traced_peak_mb`` sees what reading a problem file costs: the file's
+text, the rows being converted and the loaded matrices.
 
     python3 scripts/size_sweep.py --out sweep.json
 
@@ -79,10 +82,11 @@ def measure(kind: str, size: int) -> dict:
                 call()
                 times.append(time.perf_counter() - start)
             result[f"{label}_best_s"], result[f"{label}_runs_s"] = min(times), times
-        tracemalloc.start()
-        save_spec(spec, path)
-        result["save_traced_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
-        tracemalloc.stop()
+        for label, call in calls.items():
+            tracemalloc.start()
+            call()
+            result[f"{label}_traced_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+            tracemalloc.stop()
     return result
 
 

@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import chain
+from json.decoder import WHITESPACE, JSONArray, JSONObject
 from typing import Any, Callable
 
 import numpy as np
@@ -43,6 +43,9 @@ MAX_RANDOM_DIM = 2048
 
 #: Largest entry magnitude in a problem file: products of two entries stay finite.
 MAX_ENTRY = 1e150
+#: What ``float()`` raises on a decoded JSON value it cannot convert.
+_NOT_A_FLOAT = (TypeError, ValueError, OverflowError)
+_SCAN = json.JSONDecoder().scan_once
 
 
 @dataclass
@@ -98,7 +101,10 @@ def _real(spec: ProblemSpec) -> ProblemSpec:
 
 
 def _strings_to_matrix(rows: Any, name: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+    """A matrix from its rows: lists of entries, each read by ``float()``, or float arrays."""
+    if not isinstance(rows, list) or not rows or not all(
+        isinstance(r, (list, np.ndarray)) for r in rows
+    ):
         raise SpecFormatError(f"matrix {name} must be a non-empty list of rows")
     width = len(rows[0])
     if max(len(rows), width) > MAX_RANDOM_DIM:
@@ -108,14 +114,64 @@ def _strings_to_matrix(rows: Any, name: str) -> np.ndarray:
     if width == 0 or any(len(r) != width for r in rows):
         raise SpecFormatError(f"matrix {name} has ragged or empty rows")
     try:
-        data = np.array(list(map(float, chain.from_iterable(rows)))).reshape(len(rows), width)
-    except (TypeError, ValueError) as exc:
+        data = np.array([r if isinstance(r, np.ndarray) else list(map(float, r)) for r in rows])
+    except _NOT_A_FLOAT as exc:
         raise SpecFormatError(f"matrix {name} has a non-numeric entry: {exc}") from exc
     if not np.isfinite(data).all():
         raise SpecFormatError(f"matrix {name} contains NaN or Inf")
     if np.max(np.abs(data)) > MAX_ENTRY:
         raise SpecFormatError(f"matrix {name} has an entry of magnitude above {MAX_ENTRY:g}")
     return data
+
+
+def _float_row(text: str, end: int) -> tuple[Any, int]:
+    """The row at ``end``, as float64 if it is a list whose entries all convert."""
+    row, end = _SCAN(text, end)
+    try:
+        return (np.array(list(map(float, row))) if isinstance(row, list) else row), end
+    except _NOT_A_FLOAT:
+        return row, end
+
+
+def _rows(text: str, end: int) -> tuple[Any, int]:
+    if text[end : end + 1] != "[":
+        return _SCAN(text, end)
+    return JSONArray((text, end + 1), _float_row)
+
+
+def _matrices(text: str, end: int) -> tuple[Any, int]:
+    if text[end : end + 1] != "{":
+        return _SCAN(text, end)
+    return JSONObject((text, end + 1), True, _rows, None, None)
+
+
+class _TopLevel(dict):
+    """The ``memo`` of the top-level ``JSONObject``, which looks each key up in it just
+    before it scans that key's value: ``scan`` reads a ``"matrices"`` value row by row."""
+
+    last = None
+
+    def setdefault(self, key: str, default: Any = None) -> str:
+        self.last = key
+        return key
+
+    def scan(self, text: str, end: int) -> tuple[Any, int]:
+        return (_matrices if self.last == "matrices" else _SCAN)(text, end)
+
+
+def _decode_spec(text: str) -> Any:
+    """``json.loads(text)``, but each row of a top-level ``"matrices"`` entry is converted as
+    it is read, so no file's strings are all alive at once.  json's own scanner, ``JSONObject``
+    and ``JSONArray`` read everything, so a malformed file raises json's ``JSONDecodeError``."""
+    start = WHITESPACE.match(text, 0).end()
+    if text[start : start + 1] != "{":
+        return json.loads(text)
+    top = _TopLevel()
+    raw, end = JSONObject((text, start + 1), True, top.scan, None, None, top)
+    end = WHITESPACE.match(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return raw
 
 
 def _matrix_digest(arr: np.ndarray) -> dict[str, Any]:
@@ -237,7 +293,7 @@ def load_spec(path: str) -> ProblemSpec:
     """Load and validate a problem-spec JSON file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = _decode_spec(handle.read())
     except FileNotFoundError as exc:
         raise SpecFormatError(f"spec file not found: {path}") from exc
     except json.JSONDecodeError as exc:

@@ -48,21 +48,15 @@ def assert_matches_oracle(mat_a, mat_h, inv):
     assert result.gap_radius >= cert.alpha_star - 1e-10
 
 
-def test_general_assembly_matches_the_original_basis_oracle():
-    # The property runs inside a plain test: on a falsifying example, hypothesis's pytest
-    # plugin imports its patch writer, and the DeprecationWarning of that import becomes,
-    # under ``filterwarnings = error``, an internal error that ends the whole session.
-    @ORACLE_SETTINGS
-    @given(
-        n=st.integers(2, 48),
-        seed=st.integers(0, 2**31 - 1),
-        alpha=st.sampled_from([0.3, 0.5, 0.8, 1.0]),
-    )
-    def matches(n, seed, alpha):
-        mats = gen_random("general", n, seed, alpha).matrices
-        assert_matches_oracle(mats["A"], mats["H"], make_involution(mats["J"]))
-
-    matches()
+@ORACLE_SETTINGS
+@given(
+    n=st.integers(2, 48),
+    seed=st.integers(0, 2**31 - 1),
+    alpha=st.sampled_from([0.3, 0.5, 0.8, 1.0]),
+)
+def test_general_assembly_matches_the_original_basis_oracle(n, seed, alpha):
+    mats = gen_random("general", n, seed, alpha).matrices
+    assert_matches_oracle(mats["A"], mats["H"], make_involution(mats["J"]))
 
 
 def test_complex_hermitian_assembly_matches_the_oracle():
