@@ -25,7 +25,7 @@ from .harness import (
 )
 
 FLAGS = {
-    "--tol-scale": {"type": float, "help": "multiply every check tolerance by this factor"},
+    "--tol-scale": {"type": float, "help": "multiply every check tolerance, not kernel decisions"},
     "--force": {
         "action": "store_true",
         "help": "build the associated matrix even when the gap check refuses",

@@ -38,6 +38,7 @@ from .spectral import (
     _in_frame,
     _min_abs,
     _norm2_above,
+    _scaled,
     _signum,
     _sym_norm,
     apply_fn,
@@ -174,6 +175,7 @@ def _certify(
             f"{sym_h.shape[0]}, involution {inv.n}"
         )
     weight = _clamped_weight(sym_a)  # raises if genuinely indefinite
+    del sym_a  # W and w stand for it from here on
     h_vals = np.linalg.eigvalsh(sym_h)
     h_gap = float(np.min(np.abs(h_vals)))
     if h_gap <= kernel_tol(sym_h.shape[0], float(np.max(np.abs(h_vals)))):
@@ -231,12 +233,13 @@ def shifted_coefficient(
     contraction = apply_fn(weight, lambda lam: np.sqrt(lam / (1.0 + lam)))
     resolvent_at_one = apply_fn(weight, lambda lam: 1.0 / (1.0 + lam))
     compressed = contraction @ symmetrize(mat_h, "coefficient") @ contraction
-    return _hermitian(compressed), _hermitian(compressed + resolvent_at_one @ inv.matrix)
+    shifted = compressed + resolvent_at_one @ inv.matrix
+    return _hermitian(compressed), _hermitian(shifted)
 
 
 def _pairing(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Inner products ``<left_j, right_j>`` of matching columns (``vdot`` for vectors)."""
-    return np.einsum("i...,i...->...", np.conj(left), right)
+    """Inner products ``<left_j, right_j>`` of matching columns; a real ``left`` is not copied."""
+    return np.einsum("i...,i...->...", left.conj(), right)
 
 
 def _probe_residuals(
@@ -263,7 +266,7 @@ def _represented_side(decomp: SpectralDecomposition):
     """``<|B|^(1/2) x, sign(B) |B|^(1/2) y> = <V* x, sign(lam)|lam| V* y>``, sign 0 in ker B."""
     vecs_h = decomp.eigenvectors.conj().T
     weights = _signum(decomp, 0.0)(decomp.eigenvalues) * np.abs(decomp.eigenvalues)
-    return lambda xs, ys: _pairing(vecs_h @ xs, weights[:, None] * (vecs_h @ ys))
+    return lambda xs, ys: _pairing(vecs_h @ xs, _scaled(vecs_h @ ys, weights[:, None]))
 
 
 def _standalone(
@@ -357,22 +360,27 @@ def associate_general(
     del sym_h  # each n x n matrix is dropped after its last use
     root, grow = np.sqrt(weight.eigenvalues[:, None]), np.sqrt(1.0 + weight.eigenvalues[:, None])
     b_frame = root * h_frame * root.T
-    shifted = _hermitian(b_frame / (grow * grow.T) + j_frame / grow**2)
+    shifted = (b_frame / (grow * grow.T)).astype(np.result_type(b_frame, j_frame), copy=False)
+    shifted += j_frame / grow**2
+    _hermitian(shifted)
     scale = (1.0 + weight.source_norm) * max(float(np.max(np.abs(h_vals))), 1e-300)
-    route_gap = _norm2_above(grow * shifted * grow.T - j_frame - b_frame, 1e-10 * scale)
+    route = _scaled(grow * shifted, grow.T)
+    route -= j_frame
+    route -= b_frame
+    route_gap = _norm2_above(route, 1e-10 * scale)
     if route_gap is not None:
         raise InternalCheckError(
             f"assembly routes disagree: ||(B~ - J) - B|| = {route_gap:.3e} "
             f"exceeds {1e-10 * scale:.3e}"
         )
     gap_radius = _min_abs(shifted)
-    del shifted, j_frame
-    to_frame = weight.eigenvectors.conj().T
-    operator = _hermitian(weight.eigenvectors @ b_frame @ to_frame)
+    del shifted, j_frame, route
+    w_adj = weight.eigenvectors.conj().T
+    operator = _hermitian(weight.eigenvectors @ b_frame @ w_adj)
     del b_frame
     return _probed(
         operator, _eigh(operator),
-        lambda xs, ys: _pairing(root * (to_frame @ xs), h_frame @ (root * (to_frame @ ys))),
+        lambda xs, ys: _pairing(_scaled(w_adj @ xs, root), h_frame @ _scaled(w_adj @ ys, root)),
         scale, probe_seed, gap_radius=gap_radius, certificate=certificate, weight=weight,
     )
 

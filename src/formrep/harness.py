@@ -177,7 +177,7 @@ def _decode_spec(text: str) -> Any:
 def _matrix_digest(arr: np.ndarray) -> dict[str, Any]:
     """Shape and SHA-256 of the float64 (complex128 if complex) C-order bytes."""
     data = np.ascontiguousarray(arr, np.complex128 if np.iscomplexobj(arr) else np.float64)
-    return {"shape": list(data.shape), "sha256": hashlib.sha256(data.tobytes()).hexdigest()}
+    return {"shape": list(data.shape), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _spec_dict(spec: ProblemSpec, encode: Callable[[np.ndarray], Any]) -> dict[str, Any]:
@@ -505,17 +505,16 @@ def _check_residuals_finite(report: Report) -> None:
 
 
 def _represented(
-    result: RepresentationResult, tol: float, checks: dict[str, bool], **numbers: Any
+    owned: list[RepresentationResult], tol: float, checks: dict[str, bool], **numbers: Any
 ) -> dict[str, Any]:
-    """Report sections of an assembled result: its residual checks, the pipeline's own
-    ``checks``, then the stability suite's; ``numbers`` join the shared representation ones."""
-    stab = _stability(result.weight, result.operator, result.decomposition, 1)
-    return {
+    """Report sections of the result that ``owned`` holds, which it empties: its residual checks,
+    the pipeline's ``checks``, then the suite's, which gets and frees the result's arrays."""
+    result = owned.pop()
+    sections = {
         "checks": {
             "first_rep_residual": result.first_rep_residual <= 1e-10 * tol,
             "second_rep_residual": result.second_rep_residual <= 1e-10 * tol,
             **checks,
-            "stability_conditions_agree": all(stab.conditions.values()),
         },
         "representation": {
             "first_rep_residual": result.first_rep_residual,
@@ -524,8 +523,12 @@ def _represented(
             "operator_norm": result.decomposition.source_norm,
             **numbers,
         },
-        "stability": asdict(stab),
     }
+    owned = [result.weight, result.operator, result.decomposition]
+    del result
+    stab = _stability(owned, 1)
+    sections["checks"]["stability_conditions_agree"] = all(stab.conditions.values())
+    return {**sections, "stability": asdict(stab)}
 
 
 def _run_general(spec: ProblemSpec) -> dict[str, Any]:
@@ -539,14 +542,14 @@ def _run_general(spec: ProblemSpec) -> dict[str, Any]:
             "certificate": asdict(exc.certificate),
             "representation": {"refusal": str(exc)},
         }
-    cert = result.certificate
+    cert, owned = result.certificate, [result]
     checks: dict[str, bool] = {}
     margin = gap_certificate_check(result, inv)
     if cert.satisfied:
         checks["gap_margin"] = margin >= -1e-8 * tol
         checks["gap_radius_above_alpha"] = result.gap_radius >= cert.alpha_star - 1e-8 * tol
-    del inv  # the suite sets the run's peak: drop the matrices nothing reads again
-    sections = _represented(result, tol, checks, certified=cert.satisfied, gap_margin=margin)
+    del inv, result  # the suite sets the run's peak: drop the matrices nothing reads again
+    sections = _represented(owned, tol, checks, certified=cert.satisfied, gap_margin=margin)
     shifted_gap = sections["stability"]["shifted_gap"]
     sections["checks"]["shifted_unit_gap"] = shifted_gap >= 1.0 - 1e-10 * tol
     return {**sections, "certificate": asdict(cert)}
@@ -565,10 +568,10 @@ def _run_offdiag(spec: ProblemSpec) -> dict[str, Any]:
     kernel = _kernel_report(problem, result.decomposition)
     checks["kernel_dims_match"] = kernel.dims_match
     checks["kernel_principal_angle"] = kernel.principal_angle <= 1e-8 * tol
-    coupling_norm = problem.coupling_norm
-    del problem  # the suite sets the run's peak: drop the matrices nothing reads again
+    coupling_norm, owned = problem.coupling_norm, [result]
+    del problem, result  # the suite sets the run's peak: drop the matrices nothing reads again
     return {
-        **_represented(result, tol, checks, coupling_norm=coupling_norm),
+        **_represented(owned, tol, checks, coupling_norm=coupling_norm),
         "kernel": {
             "theorem_dim": kernel.theorem_kernel.dim,
             "oracle_dim": kernel.oracle_kernel.dim,

@@ -85,9 +85,18 @@ def symmetrize(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def _hermitian(mat: np.ndarray) -> np.ndarray:
-    """``(M + M*) / 2``, exactly self-adjoint: ``symmetrize`` without the validation, for
-    products the library forms that are self-adjoint up to rounding."""
-    return (mat + mat.conj().T) / 2.0
+    """``(M + M*) / 2`` in place on a fresh product ``mat``, exactly self-adjoint: ``symmetrize``
+    without the validation, for products the library forms that are self-adjoint up to rounding."""
+    mat += mat.conj().T
+    mat /= 2.0
+    return mat
+
+
+def _scaled(mat: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+    """``mat`` times each of ``factors`` in turn, broadcast, in place on a fresh product."""
+    for factor in factors:
+        mat *= factor
+    return mat
 
 
 def _in_frame(decomp: SpectralDecomposition, mat: np.ndarray) -> np.ndarray:

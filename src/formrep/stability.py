@@ -31,6 +31,7 @@ from .spectral import (
     _in_frame,
     _min_abs,
     _norm2_above,
+    _scaled,
     _signum,
     _spectral_map,
     _sym_norm,
@@ -114,7 +115,9 @@ def stability_suite(
         raise FormrepError(
             f"dimension mismatch: weight {sym_a.shape[0]}, operator {sym_b.shape[0]}"
         )
-    return _stability(_clamped_weight(sym_a), sym_b, _eigh(sym_b), s)
+    owned = [_clamped_weight(sym_a), sym_b, _eigh(sym_b)]
+    del sym_a, sym_b  # the suite holds its copies alone and frees each after its last use
+    return _stability(owned, s)
 
 
 def _minus_eye(prod: np.ndarray) -> np.ndarray:
@@ -123,24 +126,29 @@ def _minus_eye(prod: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _stability(
-    weight: SpectralDecomposition, sym_b: np.ndarray, decomp: SpectralDecomposition, s: int
-) -> StabilityReport:
-    """``stability_suite`` on the clamped decomposition of the weight and the
-    decomposition ``decomp`` of the operator ``sym_b``, in the weight's eigenbasis
-    ``W`` (every norm reported is unitarily invariant): ``(A+I)^(1/2)`` and its
-    inverse are diagonal there, and ``f(B)`` is ``Q diag(f(lam)) Q*``, ``Q = W* V``.
-    Norms come from ``eigvalsh`` of symmetric matrices, of the Gram matrix of ``K``, or
-    from ``lam``; no SVD is taken.  ``Y = X^-1``, so ``||Y|| = 1 / min |eig X|`` comes
-    from the spectrum of ``X``.  The residuals ``X~ F - I`` and ``K^2 - I`` are Frobenius
-    norms, upper bounds on their 2-norms, so flags i and iv are at least as strict as with
-    the 2-norm.  The unit gap and the forward pair use ``sym_b`` itself.
-    Each n x n matrix lives from its first use to its last, in this order: ``B + sgn B``
-    (unit gap, forward pair ``F``), ``X~`` (norm, ``X~ F - I``; ``F`` goes), ``X`` and ``Y``
-    (norms, flags ii/iii, ``XY - I``; ``Y`` goes), ``K`` (norm, ``K^2 - I``, ``K - X~ X``)."""
+def _stability(owned: list, s: int) -> StabilityReport:
+    """``stability_suite`` on ``owned = [weight, sym_b, decomp]``, which it empties: the clamped
+    decomposition of the weight, the operator ``sym_b`` and its decomposition ``decomp``.  Run in
+    the weight's eigenbasis ``W`` (every norm reported is unitarily invariant): ``(A+I)^(1/2)``
+    and its inverse are diagonal there, and ``f(B)`` is ``Q diag(f(lam)) Q*``, ``Q = W* V``.
+    Norms come from ``eigvalsh`` of symmetric matrices, of the Gram matrix of ``K``, or from
+    ``lam``; no SVD is taken.  ``||Y|| = 1 / min |eig X|``, as ``Y = X^-1``.  The residuals
+    ``X~ F - I`` and ``K^2 - I`` are Frobenius norms, upper bounds on their 2-norms, so flags
+    i and iv are at least as strict as with the 2-norm.  The unit gap and ``F`` use ``sym_b``.
+    Each n x n matrix lives from its first use to its last: ``B`` until ``B + sgn B`` (unit
+    gap, forward pair ``F``) exists, ``W`` and ``V`` until ``F`` and ``Q`` do; then ``X~`` (norm,
+    ``X~ F - I``; ``F`` goes), ``X`` (``X~ X``; ``X~`` goes), ``Y`` (norms, flags ii/iii,
+    ``XY - I``; ``Y`` and ``X`` go), ``K`` (``Q`` goes; norm, ``K^2 - I``, ``K - X~ X``).  The
+    inputs are freed only if the caller keeps no reference: then the suite peaks near 5 n^2."""
+    weight, sym_b, decomp = owned
+    owned.clear()
     lam = decomp.eigenvalues
     signs = _signum(decomp, float(s))(lam)
-    shifted = sym_b + _spectral_map(decomp, signs)
+    # (sgn_s - sgn_0)(B) B and (sgn_s - sgn_0)(B) |B| both have norm max |(sgn_s - sgn_0) lam|.
+    sign_gap = signs - _signum(decomp, 0.0)(lam)
+    shifted = _spectral_map(decomp, signs)
+    shifted += sym_b
+    del sym_b  # dropped after its last use, as is each n x n matrix below
     shifted_gap = _min_abs(shifted)
     if shifted_gap < 1.0 - 1e-10:
         raise InternalCheckError(
@@ -148,10 +156,11 @@ def _stability(
         )
     grow = np.sqrt(1.0 + weight.eigenvalues)[:, None]  # g as a column
     shrink = 1.0 / grow
-    shifted_forward_pair = shrink * _in_frame(weight, shifted) * shrink.T
-    del shifted  # dropped after its last use, as is each n x n matrix below
+    shifted_forward_pair = _scaled(_in_frame(weight, shifted), shrink, shrink.T)
+    del shifted
     to_frame = weight.eigenvectors.conj().T  # W*
     rotated = SpectralDecomposition(lam, to_frame @ decomp.eigenvectors, decomp.source_norm)
+    del weight, decomp, to_frame
 
     def within(mat: np.ndarray, scale: float) -> bool:
         return _norm2_above(mat, FLAG_TOL * max(1.0, scale)) is None
@@ -159,26 +168,27 @@ def _stability(
     def symmetric(mat: np.ndarray, scale: float) -> bool:
         return bool(np.isfinite(mat).all() and within(mat - mat.conj().T, scale))
 
-    shifted_inverse_pair = grow * _spectral_map(rotated, 1.0 / (lam + signs)) * grow.T
+    shifted_inverse_pair = _scaled(_spectral_map(rotated, 1.0 / (lam + signs)), grow, grow.T)
     norm_xt = _sym_norm(shifted_inverse_pair)
     # Both factors of each inverse pair are symmetric: S F - I = (F S - I)^T.
     inverse_pair_residual = float(
         np.linalg.norm(_minus_eye(shifted_inverse_pair @ shifted_forward_pair))
     )
     del shifted_forward_pair
-    weighted_abs = shrink * _spectral_map(rotated, np.abs(lam + signs)) * shrink.T
-    weighted_abs_inverse = grow * _spectral_map(rotated, 1.0 / np.abs(lam + signs)) * grow.T
+    weighted_abs = _scaled(_spectral_map(rotated, np.abs(lam + signs)), shrink, shrink.T)
+    xt_x = shifted_inverse_pair @ weighted_abs
+    del shifted_inverse_pair
+    weighted_abs_inverse = _scaled(_spectral_map(rotated, 1.0 / np.abs(lam + signs)), grow, grow.T)
     x_vals = np.abs(np.linalg.eigvalsh(weighted_abs))
     norm_x, norm_y = float(np.max(x_vals)), 1.0 / float(np.min(x_vals))
     flag_x = symmetric(weighted_abs, norm_x)
     flag_y = symmetric(weighted_abs_inverse, norm_y)
     pair_x_y = within(_minus_eye(weighted_abs @ weighted_abs_inverse), norm_x * norm_y)
-    del weighted_abs_inverse, x_vals
-    sign_conjugate = grow * _spectral_map(rotated, signs) * shrink.T
+    del weighted_abs_inverse, weighted_abs, x_vals
+    sign_conjugate = _scaled(_spectral_map(rotated, signs), grow, shrink.T)
+    del rotated
     norm_k = _gram_norm(sign_conjugate)
     involution_residual = float(np.linalg.norm(_minus_eye(sign_conjugate @ sign_conjugate)))
-    # (sgn_s - sgn_0)(B) B and (sgn_s - sgn_0)(B) |B| both have norm max |(sgn_s - sgn_0) lam|.
-    sign_gap = signs - _signum(decomp, 0.0)(lam)
     sgn_invariance_residual = float(np.max(np.abs(sign_gap * lam), initial=0.0))
     conditions = {
         "i": pair_x_y and inverse_pair_residual <= FLAG_TOL * max(1.0, norm_xt * norm_y),
@@ -189,7 +199,7 @@ def _stability(
         "iv": bool(involution_residual <= FLAG_TOL * max(1.0, norm_k**2)),
         "v": bool(
             np.isfinite(sign_conjugate).all()
-            and within(sign_conjugate - shifted_inverse_pair @ weighted_abs, norm_xt * norm_x)
+            and within(sign_conjugate - xt_x, norm_xt * norm_x)
         ),
     }
     return StabilityReport(
@@ -263,7 +273,7 @@ def sufficient_semibounded(
 
     tau_inverse = kernel_tol(n, 1.0 / max(min(np.abs(shifted_vals)), 1e-300))
     grow = np.sqrt(1.0 + weight.eigenvalues)[:, None]
-    congruent_vals = np.linalg.eigvalsh(grow * _in_frame(weight, sym_coeff) * grow.T)
+    congruent_vals = np.linalg.eigvalsh(_scaled(_in_frame(weight, sym_coeff), grow, grow.T))
     candidates = congruent_vals[:, None] + constants  # column k: spectrum of G H_shifted G + c_k
     positive = candidates[0] > kernel_tol(n, np.max(np.abs(candidates), axis=0))
     clear = np.min(np.abs(1.0 / shifted_vals[:, None] - (-1.0 / constants)), axis=0) > tau_inverse
@@ -364,7 +374,7 @@ def family_diagnostics(
         h_frame, vecs, w = _in_frame(weight, sym_h), weight.eigenvectors, weight.eigenvalues
         operator = _hermitian(vecs @ (np.sqrt(w)[:, None] * h_frame * np.sqrt(w)) @ vecs.conj().T)
         decomp = _eigh(operator)
-        report = _stability(weight, operator, decomp, 1)
+        report = _stability([weight, operator, decomp], 1)
         # (A+I)^(1/2) H (A+I)^(-1/2) in the eigenbasis
         conj_norm = _gram_norm(np.sqrt(1.0 + w)[:, None] * h_frame / np.sqrt(1.0 + w))
 

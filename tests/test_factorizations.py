@@ -157,7 +157,7 @@ def test_results_carry_their_decompositions(case):
 def test_stability_suite_takes_no_svd_and_no_callback_map(case, counts):
     result, _ = built(case)
     counts.clear()
-    _stability(result.weight, result.operator, result.decomposition, 1)
+    _stability([result.weight, result.operator, result.decomposition], 1)
     # eigvalsh: the unit gap, the norms of X~ and X, and the sign conjugate's Gram matrix.
     assert {name: counts[name] for name in ("eigh", "eigvalsh", "svd", "apply_fn")} == {
         "eigh": 0, "eigvalsh": 4, "svd": 0, "apply_fn": 0

@@ -499,6 +499,20 @@ class TestRun:
                 "sha256": hashlib.sha256(data.tobytes()).hexdigest(),
             }
 
+    @pytest.mark.parametrize("kind", ["float", "complex", "transposed"])
+    def test_matrix_digest_hashes_the_c_order_bytes(self, kind):
+        rng = np.random.default_rng(3)
+        mat = rng.standard_normal((5, 3))
+        if kind == "complex":
+            mat = mat + 1j * rng.standard_normal((5, 3))
+        elif kind == "transposed":
+            mat = mat.T  # not C-contiguous: the digest is that of its C-order copy
+        data = np.ascontiguousarray(mat)
+        assert harness._matrix_digest(mat) == {
+            "shape": list(mat.shape),
+            "sha256": hashlib.sha256(data.tobytes()).hexdigest(),
+        }
+
     @pytest.mark.parametrize("case", sorted(REPORT_KINDS))
     def test_each_report_kind_fills_its_sections(self, case):
         build, sections, representation_keys = REPORT_KINDS[case]

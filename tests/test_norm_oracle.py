@@ -115,7 +115,7 @@ def assembled(case):
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_stability_norms_match_the_svd(case):
     result, _ = assembled(case)
-    report = _stability(result.weight, result.operator, result.decomposition, 1)
+    report = _stability([result.weight, result.operator, result.decomposition], 1)
     oracle = svd_suite(result.weight, result.operator, result.decomposition)
     for got, key in (
         (report.norm_weighted_abs, "norm_x"),
@@ -178,7 +178,7 @@ def test_unit_gap_is_checked_on_the_operator():
     result, _ = assembled("general-5-0")
     wrong = eig_sym(-result.operator)
     with pytest.raises(InternalCheckError, match="unit gap"):
-        _stability(result.weight, result.operator, wrong, 1)
+        _stability([result.weight, result.operator, wrong], 1)
 
 
 def test_condition_i_tests_the_decomposition_against_the_operator():
@@ -186,7 +186,7 @@ def test_condition_i_tests_the_decomposition_against_the_operator():
     # matches the decomposition: the inverse pair misses by about 1e-6.
     result, _ = assembled("general-24-1")
     moved = (1.0 + 1e-6) * result.operator
-    report = _stability(result.weight, moved, result.decomposition, 1)
+    report = _stability([result.weight, moved, result.decomposition], 1)
     oracle = svd_suite(result.weight, moved, result.decomposition)
     assert report.conditions == oracle["conditions"]
     assert not report.conditions["i"] and report.conditions["iv"]
@@ -207,7 +207,7 @@ def test_condition_iv_tests_the_sign_conjugate_as_an_involution():
     scaled = SpectralDecomposition(
         decomp.eigenvalues, (1.0 + 1e-6) * decomp.eigenvectors, decomp.source_norm
     )
-    report = _stability(result.weight, result.operator, scaled, 1)
+    report = _stability([result.weight, result.operator, scaled], 1)
     oracle = svd_suite(result.weight, result.operator, scaled)
     assert report.conditions == oracle["conditions"]
     assert not report.conditions["iv"]
