@@ -8,15 +8,17 @@ Each process times ``REPEATS`` runs of ``harness.run`` on one generated
 spec and keeps the best, reads its peak RSS, and then traces one more run
 with ``tracemalloc``.  After that, so that the peak RSS stays that of the
 runs, it times ``REPEATS`` ``save_spec`` calls writing the spec into a
-temporary directory and ``REPEATS`` ``load_spec`` calls reading it back.  The
-JSON written to ``--out`` (or standard output) holds, per size, the best and
-all wall times in seconds, the peak RSS in MB, the traced peak of the extra
-run in units of ``n^2`` doubles (``n`` the problem dimension), whether every
-run passed, the best and all ``save_spec`` and ``load_spec`` times in
-seconds, and the traced peaks of one more ``save_spec`` and one more
-``load_spec`` in MB.  ``peak_rss_mb`` is read before any file I/O, so only
-``load_traced_peak_mb`` sees what reading a problem file costs: the file's
-text, the rows being converted and the loaded matrices.
+temporary directory and ``REPEATS`` ``load_spec`` calls reading it back.
+Last, one more fresh process runs ``cli.main(["verify", path])`` on the saved
+file, as ``formrep verify`` does, and reads its peak RSS.  The JSON written to
+``--out`` (or standard output) holds, per size, the best and all wall times
+in seconds, the peak RSS in MB, the traced peak of the extra run in units of
+``n^2`` doubles (``n`` the problem dimension), whether every run passed, the
+best and all ``save_spec`` and ``load_spec`` times in seconds, the traced
+peaks of one more ``save_spec`` and one more ``load_spec`` in MB, and
+``verify_peak_rss_mb``.  ``peak_rss_mb`` is read before any file I/O, so it
+is the run's own; ``verify_peak_rss_mb`` is what a user's ``verify`` costs,
+loading the file included.
 
     python3 scripts/size_sweep.py --out sweep.json
 
@@ -27,6 +29,8 @@ this script, so a copy of the script measures the tree it is copied into.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -87,17 +91,35 @@ def measure(kind: str, size: int) -> dict:
             call()
             result[f"{label}_traced_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
             tracemalloc.stop()
+        command = [sys.executable, __file__, "--verify", path]
+        child = subprocess.run(command, capture_output=True, text=True, check=True)
+        result["verify_peak_rss_mb"] = json.loads(child.stdout.splitlines()[-1])
     return result
+
+
+def verify_peak_mb(path: str) -> float:
+    """Peak RSS in MB of ``formrep verify path`` in this process, which must pass."""
+    sys.path.insert(0, str(SRC))
+    from formrep.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(["verify", path]) != 0:
+            sys.exit(f"verify {path} did not pass")
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out")
     parser.add_argument("--one", nargs=2, metavar=("KIND", "SIZE"), help=argparse.SUPPRESS)
+    parser.add_argument("--verify", metavar="PATH", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.one:
         print(json.dumps(measure(args.one[0], int(args.one[1]))))
+        return 0
+    if args.verify:
+        print(json.dumps(verify_peak_mb(args.verify)))
         return 0
 
     import numpy

@@ -30,7 +30,7 @@ from .errors import (
     NotPositiveSemidefiniteError,
     SingularMatrixError,
 )
-from .involution import COMMUTATION_TOL, _EPS_FLOOR, Involution, _block_decompose
+from .involution import COMMUTATION_TOL, _EPS_FLOOR, Involution
 from .spectral import (
     SpectralDecomposition,
     _eigh,
@@ -189,9 +189,8 @@ def _certify(
         raise CommutationError(
             f"involution does not commute with the weight: ||[J, A]|| = {commutator:.3e}"
         )
-    blocks = _block_decompose(sym_h, inv)
-    plus_vals = np.linalg.eigvalsh(blocks.plus_block)
-    minus_vals = np.linalg.eigvalsh(blocks.minus_block)
+    bases = (inv.plus_basis.vectors, inv.minus_basis.vectors)
+    plus_vals, minus_vals = (np.linalg.eigvalsh(_hermitian(v.conj().T @ sym_h @ v)) for v in bases)
     lambda_min_plus, lambda_max_minus = float(plus_vals[0]), float(minus_vals[-1])
     refusal = _margin_refusal("plus", plus_vals, 1) or _margin_refusal("minus", minus_vals, -1)
     alpha_star = float(min(1.0, lambda_min_plus, -lambda_max_minus))

@@ -10,11 +10,12 @@ a machine-readable report with one boolean per enabled check.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from json.decoder import WHITESPACE, JSONArray, JSONObject
+from json.decoder import WHITESPACE
 from typing import Any, Callable
 
 import numpy as np
@@ -46,6 +47,8 @@ MAX_ENTRY = 1e150
 #: What ``float()`` raises on a decoded JSON value it cannot convert.
 _NOT_A_FLOAT = (TypeError, ValueError, OverflowError)
 _SCAN = json.JSONDecoder().scan_once
+#: Characters of a problem file read at a time: loading holds one window of the file's text.
+_CHUNK = 1 << 20
 
 
 @dataclass
@@ -133,45 +136,80 @@ def _float_row(text: str, end: int) -> tuple[Any, int]:
         return row, end
 
 
-def _rows(text: str, end: int) -> tuple[Any, int]:
-    if text[end : end + 1] != "[":
-        return _SCAN(text, end)
-    return JSONArray((text, end + 1), _float_row)
+class _Window:
+    """The text of an open file that is not yet consumed, read ``_CHUNK`` characters at a time.
+    A value is scanned again after a refill while its scan fails or ends within two characters
+    of the window's end (a number cut as ``1.``, ``1e`` or ``1e+`` scans as ``1``)."""
+
+    def __init__(self, handle: Any) -> None:
+        self.handle, self.text, self.at, self.eof = handle, "", 0, False
+
+    def refill(self) -> None:
+        """Drop the consumed text and read at least as much as is left, so the window at least
+        doubles on each rescan: a value spanning k windows costs O(k) rescans."""
+        rest = self.text[self.at :]
+        more = self.handle.read(max(_CHUNK, len(rest)))
+        self.text, self.at, self.eof = rest + more, 0, not more
+
+    def skip(self) -> str:
+        """Consume whitespace; the next character, or ``""`` at the end of the file."""
+        while True:
+            self.at = WHITESPACE.match(self.text, self.at).end()
+            if self.at < len(self.text) or self.eof:
+                return self.text[self.at : self.at + 1]
+            self.refill()
+
+    def expect(self, chars: str) -> str:
+        """Consume whitespace and then one of ``chars``, which is returned."""
+        char = self.skip()
+        if not char or char not in chars:
+            raise json.JSONDecodeError(f"Expecting one of {chars!r}", self.text, self.at)
+        self.at += 1
+        return char
+
+    def scan(self, scan: Callable[[str, int], tuple[Any, int]] = _SCAN) -> Any:
+        """The value after any whitespace, read by ``scan``."""
+        self.skip()
+        while True:
+            try:
+                value, end = scan(self.text, self.at)
+                if end < len(self.text) - 2 or self.eof:
+                    self.at = end
+                    return value
+            except (StopIteration, ValueError):
+                if self.eof:
+                    raise
+            self.refill()
 
 
-def _matrices(text: str, end: int) -> tuple[Any, int]:
-    if text[end : end + 1] != "{":
-        return _SCAN(text, end)
-    return JSONObject((text, end + 1), True, _rows, None, None)
+def _items(window: _Window, close: str, read: Callable[[], Any]) -> list[Any]:
+    """``read()`` for each element of the array or object whose opening is at the cursor."""
+    window.at += 1
+    items = [] if window.skip() == close else [read()]
+    while window.expect("," + close) == ",":
+        items.append(read())
+    return items
 
 
-class _TopLevel(dict):
-    """The ``memo`` of the top-level ``JSONObject``, which looks each key up in it just
-    before it scans that key's value: ``scan`` reads a ``"matrices"`` value row by row."""
-
-    last = None
-
-    def setdefault(self, key: str, default: Any = None) -> str:
-        self.last = key
-        return key
-
-    def scan(self, text: str, end: int) -> tuple[Any, int]:
-        return (_matrices if self.last == "matrices" else _SCAN)(text, end)
+def _value(window: _Window, level: int = 0) -> Any:
+    """The value at the cursor.  The file's object (level 0), its ``"matrices"`` object (1)
+    and each matrix (2) are walked here, each row read by ``_float_row``; json's scanner reads
+    every other value, so a malformed file fails where ``json.loads`` would."""
+    char = window.skip()
+    if char == "{" and level < 2:
+        return dict(_items(window, "}", lambda: _pair(window, level)))
+    if char == "[" and level == 2:
+        return _items(window, "]", lambda: window.scan(_float_row))
+    return window.scan()
 
 
-def _decode_spec(text: str) -> Any:
-    """``json.loads(text)``, but each row of a top-level ``"matrices"`` entry is converted as
-    it is read, so no file's strings are all alive at once.  json's own scanner, ``JSONObject``
-    and ``JSONArray`` read everything, so a malformed file raises json's ``JSONDecodeError``."""
-    start = WHITESPACE.match(text, 0).end()
-    if text[start : start + 1] != "{":
-        return json.loads(text)
-    top = _TopLevel()
-    raw, end = JSONObject((text, start + 1), True, top.scan, None, None, top)
-    end = WHITESPACE.match(text, end).end()
-    if end != len(text):
-        raise json.JSONDecodeError("Extra data", text, end)
-    return raw
+def _pair(window: _Window, level: int) -> tuple[str, Any]:
+    if window.skip() != '"':
+        raise json.JSONDecodeError("Expecting property name", window.text, window.at)
+    key = window.scan()
+    window.expect(":")
+    # Level 3: the value of any other top-level key is read by the scanner.
+    return key, _value(window, level + 1 if level or key == "matrices" else 3)
 
 
 def _matrix_digest(arr: np.ndarray) -> dict[str, Any]:
@@ -290,10 +328,21 @@ def _validate_dimensions(kind: str, matrices: dict[str, np.ndarray]) -> None:
 
 
 def load_spec(path: str) -> ProblemSpec:
-    """Load and validate a problem-spec JSON file."""
+    """Load and validate a problem-spec JSON file, read through a ``_Window``.  A file the
+    walk refuses is decoded whole, so its refusal is json's own message and an undecodable
+    byte is reported at its place in the file; a pipe, which cannot be read twice, is read
+    whole first."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = _decode_spec(handle.read())
+            window = _Window(handle if handle.seekable() else io.StringIO(handle.read()))
+            try:
+                raw = _value(window)
+                if window.skip():
+                    raise json.JSONDecodeError("Extra data", window.text, window.at)
+            except (StopIteration, ValueError, RecursionError):
+                window.handle.seek(0)
+                json.loads(window.handle.read())
+                raise
     except FileNotFoundError as exc:
         raise SpecFormatError(f"spec file not found: {path}") from exc
     except json.JSONDecodeError as exc:

@@ -156,11 +156,7 @@ def commutes(inv: Involution, mat: np.ndarray) -> tuple[bool, float]:
 
 def block_decompose(mat: np.ndarray, inv: Involution) -> BlockDecomposition:
     """Express a self-adjoint matrix in the involution's block coordinates."""
-    return _block_decompose(_validated(mat, inv), inv)
-
-
-def _block_decompose(sym: np.ndarray, inv: Involution) -> BlockDecomposition:
-    """``block_decompose`` of a validated matrix of the involution's dimension."""
+    sym = _validated(mat, inv)
     frame = inv.half_space_frame()
     coords = frame.conj().T @ sym @ frame
     p = inv.dim_plus

@@ -196,15 +196,14 @@ class SubspaceBasis:
 
 
 def _fix_column_phases(vecs: np.ndarray) -> np.ndarray:
-    """Make the first significant component of each column positive real.
+    """Make the first significant component of each column positive real, in place.
 
     Columns are unit vectors, so the entry of largest magnitude is at least
     ``n**-1/2``; any entry above ``1e-8`` is therefore 'significant'.
     """
     pivots = vecs[np.argmax(np.abs(vecs) > 1e-8, axis=0), np.arange(vecs.shape[1])]
-    if np.iscomplexobj(vecs):
-        return vecs * (pivots.conj() / np.abs(pivots))
-    return vecs * np.where(pivots < 0, -1.0, 1.0)
+    vecs *= pivots.conj() / np.abs(pivots)  # exactly +-1 on a real pivot
+    return vecs
 
 
 def eig_sym(mat: np.ndarray) -> SpectralDecomposition:

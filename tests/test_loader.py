@@ -1,13 +1,20 @@
 """The problem-file loader against its oracle, ``spec_from_dict(json.loads(text))``.
 
-``load_spec`` converts each matrix row as soon as it has read it.  The oracle decodes the
-whole file first and converts afterwards.  On every file, valid or not, the two must agree:
-the same matrices bit for bit, or a ``SpecFormatError`` with the same message.  A parse error
-is formatted as ``load_spec`` formats it, so its line and column come from json itself.
+``load_spec`` reads the file through a window of ``harness._CHUNK`` characters and converts
+each matrix row as soon as it has read it.  The oracle decodes the whole file first and
+converts afterwards.  On every file, valid or not, the two must agree: the same matrices bit
+for bit, or a refusal with the same message.  A parse error is formatted as ``load_spec``
+formats it, so its line and column come from json itself, and an undecodable byte is
+reported at its position in the file.  The walk runs again with windows of 1, 2, 7 and 64
+characters, which end inside keys, strings, numbers, literals and whitespace.
 """
 
 import json
+import os
 import re
+import threading
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formrep import ProblemSpec, SpecFormatError, gen_random, load_spec, save_spec
-from formrep import spec_from_dict, spec_to_dict
+from formrep import harness, spec_from_dict, spec_to_dict
 from formrep.cli import main
 
 LOADER_SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -35,10 +42,11 @@ JUNK = 'x,:]}[{"0 \t\r\n\\'
 
 def oracle(path):
     """The loaded spec, or the refusal's message, as decoding the whole file first gives it."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        raw = json.loads(text)
+        with open(path, encoding="utf-8") as handle:
+            raw = json.loads(handle.read())
+    except UnicodeDecodeError as exc:
+        return str(exc)
     except json.JSONDecodeError as exc:
         return f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
     try:
@@ -50,7 +58,7 @@ def oracle(path):
 def loaded(path):
     try:
         return load_spec(path)
-    except SpecFormatError as exc:
+    except (SpecFormatError, UnicodeDecodeError) as exc:
         return str(exc)
 
 
@@ -125,8 +133,7 @@ TEXT_MUTATIONS = [
 ]
 
 
-@LOADER_SETTINGS
-@given(
+ORACLE_CASES = given(
     shape=st.one_of(
         st.tuples(st.just("general"), st.integers(2, 9)),
         st.tuples(st.just("offdiag"), st.tuples(st.integers(1, 6), st.integers(1, 6))),
@@ -136,9 +143,10 @@ TEXT_MUTATIONS = [
     mutation=st.sampled_from([None] + DICT_MUTATIONS + TEXT_MUTATIONS),
     data=st.data(),
 )
-def test_load_matches_the_whole_file_oracle(tmp_path_factory, shape, seed, layout, mutation, data):
+
+
+def check_against_the_oracle(path, shape, seed, layout, mutation, data):
     spec = gen_random(*shape, seed)
-    path = tmp_path_factory.getbasetemp() / "spec.json"
     raw = spec_to_dict(spec)
     if mutation in DICT_MUTATIONS:
         raw = mutate(raw, mutation, data.draw)
@@ -155,17 +163,75 @@ def test_load_matches_the_whole_file_oracle(tmp_path_factory, shape, seed, layou
         assert_same_outcome(want, spec)
 
 
+@LOADER_SETTINGS
+@ORACLE_CASES
+def test_load_matches_the_whole_file_oracle(tmp_path_factory, shape, seed, layout, mutation, data):
+    path = tmp_path_factory.getbasetemp() / "spec.json"
+    check_against_the_oracle(path, shape, seed, layout, mutation, data)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+@LOADER_SETTINGS
+@ORACLE_CASES
+def test_load_in_small_windows_matches_the_oracle(
+    tmp_path_factory, chunk, shape, seed, layout, mutation, data
+):
+    path = tmp_path_factory.getbasetemp() / f"spec-{chunk}.json"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_CHUNK", chunk)
+        check_against_the_oracle(path, shape, seed, layout, mutation, data)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+@pytest.mark.parametrize("number", ["2.5", "1e+300", "1.5e-7", "25E+2", "7"])
+def test_a_number_cut_by_the_window_is_read_whole(tmp_path, monkeypatch, chunk, number):
+    """A number cut as ``2.``, ``1e`` or ``1e+`` scans as a shorter number that ends before the
+    window does, so the walk must read it again with more text.  The whitespace before the
+    seed is consumed and refilled, so each padding starts it at another place in a window."""
+    raw = spec_to_dict(gen_random("general", 2, 0))
+    path = tmp_path / "seed.json"
+    monkeypatch.setattr(harness, "_CHUNK", chunk)
+    for pad in range(chunk + 1):
+        path.write_text(json.dumps(raw).replace('"seed": 0', '"seed":' + " " * pad + number))
+        want = oracle(str(path))
+        assert want.seed == 7 if number == "7" else want.startswith("seed must be")
+        assert_same_outcome(loaded(str(path)), want)
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "malformed"])
+def test_a_pipe_loads_and_is_refused_as_a_file_is(tmp_path, valid):
+    """A pipe cannot be read twice, so the loader reads it whole before the walk."""
+    plain, fifo = tmp_path / "spec.json", tmp_path / "spec.fifo"
+    text = json.dumps(spec_to_dict(gen_random("offdiag", (3, 2), 1)), separators=(",", ":"))
+    if not valid:
+        text = text.replace(",", ",,", 1)
+    plain.write_text(text, encoding="utf-8")
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    got = loaded(str(fifo))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    want = oracle(str(plain))
+    assert_same_outcome(got, want.replace(str(plain), str(fifo)) if isinstance(want, str) else want)
+
+
 # ----------------------------------------------------------------------
 # Refusals of a large file on the command line
 # ----------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def large_text(tmp_path_factory):
-    """An n = 384 general problem in ``save_spec``'s layout."""
+def large_file(tmp_path_factory):
+    """An n = 384 general problem in ``save_spec``'s layout (14.3 MB)."""
     path = tmp_path_factory.mktemp("large") / "general-384.json"
     save_spec(gen_random("general", 384, 0), str(path))
-    return path.read_text(encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def large_text(large_file):
+    return large_file.read_text(encoding="utf-8")
 
 
 def entry_span(text, name, i, j):
@@ -205,6 +271,11 @@ LARGE_REFUSALS = {
         lambda text: replaced(text, "J", 200, 3, "1" + "0" * 400),
         "matrix J has a non-numeric entry: int too large to convert to float",
     ),
+    # Written as the byte 0xff, well after the first window: the position is the file's.
+    "invalid_utf8_after_the_first_window": (
+        lambda text: text[:3_000_000] + "\udcff" + text[3_000_000:],
+        "'utf-8' codec can't decode byte 0xff in position 3000000: invalid start byte",
+    ),
 }
 
 
@@ -212,8 +283,37 @@ LARGE_REFUSALS = {
 def test_large_file_refusal_exit_two_one_line(large_text, tmp_path, capsys, case):
     change, message = LARGE_REFUSALS[case]
     path = tmp_path / "refused.json"
-    path.write_text(change(large_text), encoding="utf-8")
+    path.write_text(change(large_text), encoding="utf-8", errors="surrogateescape")
     want = oracle(str(path))
     assert isinstance(want, str) and want.startswith(message.format(path))
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {want}\n"
+
+
+def test_one_long_row_is_refused_in_linear_time(tmp_path, monkeypatch):
+    """Matrix A as one row of 384^2 entries (4.6 MB of text).  Each rescan of the row at least
+    doubles the window, so from 64 characters it takes 17 rescans, not 72,000."""
+    spec = gen_random("general", 384, 0)
+    path = tmp_path / "one-row.json"
+    one_row = spec.matrices["A"].reshape(1, -1)
+    save_spec(replace(spec, matrices={**spec.matrices, "A": one_row}), path)
+    want = oracle(str(path))
+    assert want == "matrix A is 1 x 147456, above the dimension cap 2048"
+    monkeypatch.setattr(harness, "_CHUNK", 64)
+    start = time.perf_counter()
+    assert loaded(str(path)) == want
+    assert time.perf_counter() - start < 20.0
+
+
+def test_loading_holds_one_window_not_the_text(large_file):
+    """The traced peak of one load of the 14.3 MB file: its three 384 x 384 float64 matrices
+    (3.4 MiB), one window and one row's strings.  Measured at 8.1 MiB; decoding the whole text
+    first peaked at 27.4 MiB."""
+    load_spec(str(large_file))
+    tracemalloc.start()
+    try:
+        load_spec(str(large_file))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20

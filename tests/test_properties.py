@@ -5,7 +5,8 @@ in ``W``.  The oracle assembles the same objects in the original basis, with fou
 ``apply_fn`` maps of the clamped weight: ``B = A^(1/2) H A^(1/2)``, the shifted coefficient
 ``H_s = R H R + (A+I)^(-1) J`` with ``R = A^(1/2) (A+I)^(-1/2)``, its gap radius
 ``min |eig H_s|``, and the route ``(A+I)^(1/2) H_s (A+I)^(1/2) - J``, which is ``B``.  The
-certificate's oracle is the pair of block spectra of ``H`` in the splitting's coordinates.
+certificate's oracle is the pair of block spectra of ``H`` in the splitting's coordinates,
+to rounding.
 """
 
 import numpy as np
@@ -43,8 +44,13 @@ def assert_matches_oracle(mat_a, mat_h, inv):
     blocks = block_decompose(mat_h, inv)
     plus, minus = np.linalg.eigvalsh(blocks.plus_block), np.linalg.eigvalsh(blocks.minus_block)
     cert = result.certificate
-    assert (cert.lambda_min_plus, cert.lambda_max_minus) == (plus[0], minus[-1])
-    assert cert.satisfied and cert.alpha_star == min(1.0, plus[0], -minus[-1])
+    # The certificate forms each diagonal block on its own basis, the oracle all four in one
+    # product on the whole frame; the roundings differ by about 0.14 n eps ||H|| at most.
+    rounding = len(mat_h) * np.finfo(float).eps * np.linalg.norm(mat_h, 2)
+    assert abs(cert.lambda_min_plus - plus[0]) <= rounding
+    assert abs(cert.lambda_max_minus - minus[-1]) <= rounding
+    assert cert.satisfied
+    assert cert.alpha_star == min(1.0, cert.lambda_min_plus, -cert.lambda_max_minus)
     assert result.gap_radius >= cert.alpha_star - 1e-10
 
 
