@@ -10,15 +10,19 @@ with ``tracemalloc``.  After that, so that the peak RSS stays that of the
 runs, it times ``REPEATS`` ``save_spec`` calls writing the spec into a
 temporary directory and ``REPEATS`` ``load_spec`` calls reading it back.
 Last, one more fresh process runs ``cli.main(["verify", path])`` on the saved
-file, as ``formrep verify`` does, and reads its peak RSS.  The JSON written to
+file, as ``formrep verify`` does, reads its peak RSS, and then traces one more
+``verify`` in the same process, loading the file included.  The JSON written to
 ``--out`` (or standard output) holds, per size, the best and all wall times
 in seconds, the peak RSS in MB, the traced peak of the extra run in units of
 ``n^2`` doubles (``n`` the problem dimension), whether every run passed, the
 best and all ``save_spec`` and ``load_spec`` times in seconds, the traced
-peaks of one more ``save_spec`` and one more ``load_spec`` in MB, and
-``verify_peak_rss_mb``.  ``peak_rss_mb`` is read before any file I/O, so it
-is the run's own; ``verify_peak_rss_mb`` is what a user's ``verify`` costs,
-loading the file included.
+peaks of one more ``save_spec`` and one more ``load_spec`` in MB,
+``verify_peak_rss_mb`` and ``verify_traced_peak_n2``, the traced peak of the
+traced ``verify`` in units of ``n^2`` doubles.  ``peak_rss_mb`` is read before
+any file I/O, so it is the run's own; ``verify_peak_rss_mb`` is what a user's
+``verify`` costs, loading the file included.  Peak RSS also counts heap that
+the allocator keeps after a free, so ``verify_traced_peak_n2``, which counts
+only live allocations, is the figure that attributes a change in it.
 
     python3 scripts/size_sweep.py --out sweep.json
 
@@ -93,19 +97,31 @@ def measure(kind: str, size: int) -> dict:
             tracemalloc.stop()
         command = [sys.executable, __file__, "--verify", path]
         child = subprocess.run(command, capture_output=True, text=True, check=True)
-        result["verify_peak_rss_mb"] = json.loads(child.stdout.splitlines()[-1])
+        rss_mb, traced = json.loads(child.stdout.splitlines()[-1])
+        result["verify_peak_rss_mb"] = rss_mb
+        result["verify_traced_peak_n2"] = traced / (8.0 * n * n)
     return result
 
 
-def verify_peak_mb(path: str) -> float:
-    """Peak RSS in MB of ``formrep verify path`` in this process, which must pass."""
+def verify_peaks(path: str) -> tuple[float, int]:
+    """Peak RSS in MB of ``formrep verify path`` in this process, and the traced peak in bytes
+    of one more ``verify`` after it; both must pass."""
     sys.path.insert(0, str(SRC))
     from formrep.cli import main
 
-    with contextlib.redirect_stdout(io.StringIO()):
-        if main(["verify", path]) != 0:
-            sys.exit(f"verify {path} did not pass")
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    def verify() -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if main(["verify", path]) != 0:
+                sys.exit(f"verify {path} did not pass")
+
+    verify()
+    # ru_maxrss is in kilobytes on Linux.
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    tracemalloc.start()
+    verify()
+    traced = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return rss_mb, traced
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(measure(args.one[0], int(args.one[1]))))
         return 0
     if args.verify:
-        print(json.dumps(verify_peak_mb(args.verify)))
+        print(json.dumps(verify_peaks(args.verify)))
         return 0
 
     import numpy

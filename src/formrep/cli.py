@@ -179,7 +179,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise SpecFormatError(
                     f"{args.command} command needs kind {' or '.join(kinds)}, got {spec.kind!r}"
                 )
-        report = run(_apply_overrides(spec, args))
+        owned = [_apply_overrides(spec, args)]
+        del spec  # run gets the only reference, so it frees each matrix after its last read
+        report = run(owned.pop())
         report.checks = {
             name: ok
             for name, ok in report.checks.items()

@@ -351,6 +351,7 @@ def associate_general(
         If the two assembly routes disagree beyond ``1e-10 * scale``.
     """
     certificate, sym_h, weight, h_vals, j_frame = _certify(mat_a, mat_h, inv)
+    del mat_a, mat_h, inv  # freed here when the caller passed its only references
     if not certificate.satisfied and not force:
         raise HypothesisRefusedError(
             f"spectral-gap condition refused: {certificate.refusal}", certificate
@@ -411,4 +412,8 @@ def gap_certificate_check(result: RepresentationResult, inv: Involution) -> floa
     Returns ``min |eig(B + J)| - gap_radius``; the construction guarantees
     this is nonnegative up to rounding for certified results.
     """
-    return _min_abs(result.operator + inv.matrix) - result.gap_radius
+    return _gap_margin(result, inv.matrix)
+
+
+def _gap_margin(result: RepresentationResult, splitting: np.ndarray) -> float:
+    return _min_abs(result.operator + splitting) - result.gap_radius

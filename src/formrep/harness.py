@@ -14,7 +14,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from json.decoder import WHITESPACE
 from typing import Any, Callable
 
@@ -26,7 +26,7 @@ from .errors import (
     InternalCheckError,
     SpecFormatError,
 )
-from .general import RepresentationResult, associate_general, gap_certificate_check
+from .general import RepresentationResult, _gap_margin, associate_general
 from .involution import make_involution
 from .offdiag import _kernel_report, assemble_offdiag, direct_coefficient, offdiag_problem
 from .spectral import random_orthogonal
@@ -103,10 +103,15 @@ def _real(spec: ProblemSpec) -> ProblemSpec:
     return spec
 
 
+class _Stack(np.ndarray):
+    """A matrix that ``load_spec`` stacked from float64 rows of one nonzero width."""
+
+
 def _strings_to_matrix(rows: Any, name: str) -> np.ndarray:
-    """A matrix from its rows: lists of entries, each read by ``float()``, or float arrays."""
-    if not isinstance(rows, list) or not rows or not all(
-        isinstance(r, (list, np.ndarray)) for r in rows
+    """A matrix from its rows, lists read by ``float()`` or float arrays, or from a ``_Stack``."""
+    stacked = isinstance(rows, _Stack)
+    if not stacked and not (
+        isinstance(rows, list) and rows and all(isinstance(r, (list, np.ndarray)) for r in rows)
     ):
         raise SpecFormatError(f"matrix {name} must be a non-empty list of rows")
     width = len(rows[0])
@@ -114,10 +119,12 @@ def _strings_to_matrix(rows: Any, name: str) -> np.ndarray:
         raise SpecFormatError(
             f"matrix {name} is {len(rows)} x {width}, above the dimension cap {MAX_RANDOM_DIM}"
         )
-    if width == 0 or any(len(r) != width for r in rows):
+    if not stacked and (width == 0 or any(len(r) != width for r in rows)):
         raise SpecFormatError(f"matrix {name} has ragged or empty rows")
     try:
-        data = np.array([r if isinstance(r, np.ndarray) else list(map(float, r)) for r in rows])
+        data = np.asarray(rows) if stacked else np.array(
+            [r if isinstance(r, np.ndarray) else list(map(float, r)) for r in rows]
+        )
     except _NOT_A_FLOAT as exc:
         raise SpecFormatError(f"matrix {name} has a non-numeric entry: {exc}") from exc
     if not np.isfinite(data).all():
@@ -194,13 +201,16 @@ def _items(window: _Window, close: str, read: Callable[[], Any]) -> list[Any]:
 def _value(window: _Window, level: int = 0) -> Any:
     """The value at the cursor.  The file's object (level 0), its ``"matrices"`` object (1)
     and each matrix (2) are walked here, each row read by ``_float_row``; json's scanner reads
-    every other value, so a malformed file fails where ``json.loads`` would."""
+    every other value, so a malformed file fails where ``json.loads`` would.  A matrix whose
+    rows all convert to one nonzero width is stacked when it closes; any other stays rows."""
     char = window.skip()
     if char == "{" and level < 2:
         return dict(_items(window, "}", lambda: _pair(window, level)))
-    if char == "[" and level == 2:
-        return _items(window, "]", lambda: window.scan(_float_row))
-    return window.scan()
+    if char != "[" or level != 2:
+        return window.scan()
+    rows = _items(window, "]", lambda: window.scan(_float_row))
+    widths = {len(r) if isinstance(r, np.ndarray) else -1 for r in rows}
+    return np.array(rows).view(_Stack) if len(widths) == 1 and min(widths) > 0 else rows
 
 
 def _pair(window: _Window, level: int) -> tuple[str, Any]:
@@ -582,9 +592,10 @@ def _represented(
 
 def _run_general(spec: ProblemSpec) -> dict[str, Any]:
     tol, mats = spec.tol_scale, spec.matrices
-    inv = make_involution(mats["J"])
+    owned = [make_involution(mats.pop("J"))]  # passed on with A and H; only J itself is kept
+    splitting = owned[0].matrix
     try:
-        result = associate_general(mats["A"], mats["H"], inv, spec.force, spec.seed)
+        result = associate_general(mats.pop("A"), mats.pop("H"), owned.pop(), spec.force, spec.seed)
     except HypothesisRefusedError as exc:
         return {
             "checks": {"hypothesis_certified": False},
@@ -593,11 +604,11 @@ def _run_general(spec: ProblemSpec) -> dict[str, Any]:
         }
     cert, owned = result.certificate, [result]
     checks: dict[str, bool] = {}
-    margin = gap_certificate_check(result, inv)
+    margin = _gap_margin(result, splitting)
     if cert.satisfied:
         checks["gap_margin"] = margin >= -1e-8 * tol
         checks["gap_radius_above_alpha"] = result.gap_radius >= cert.alpha_star - 1e-8 * tol
-    del inv, result  # the suite sets the run's peak: drop the matrices nothing reads again
+    del splitting, result  # the suite sets the run's peak: drop the matrices nothing reads again
     sections = _represented(owned, tol, checks, certified=cert.satisfied, gap_margin=margin)
     shifted_gap = sections["stability"]["shifted_gap"]
     sections["checks"]["shifted_unit_gap"] = shifted_gap >= 1.0 - 1e-10 * tol
@@ -606,14 +617,15 @@ def _run_general(spec: ProblemSpec) -> dict[str, Any]:
 
 def _run_offdiag(spec: ProblemSpec) -> dict[str, Any]:
     tol, mats = spec.tol_scale, spec.matrices
-    problem = offdiag_problem(mats["A_plus"], mats["A_minus"], mats["T"])
+    problem = offdiag_problem(mats.pop("A_plus"), mats.pop("A_minus"), mats.pop("T"))
+    try:  # C is checked, and freed, before B is assembled
+        direct_coefficient(problem)
+        direct = True
+    except InternalCheckError:
+        direct = False
     result = assemble_offdiag(problem, probe_seed=spec.seed)
     checks = {"shifted_gap_at_least_one": result.gap_radius >= 1.0 - 1e-10 * tol}
-    try:
-        direct_coefficient(problem)
-        checks["direct_coefficient_identity"] = True
-    except InternalCheckError:
-        checks["direct_coefficient_identity"] = False
+    checks["direct_coefficient_identity"] = direct
     kernel = _kernel_report(problem, result.decomposition)
     checks["kernel_dims_match"] = kernel.dims_match
     checks["kernel_principal_angle"] = kernel.principal_angle <= 1e-8 * tol
@@ -673,17 +685,20 @@ def _run_family(spec: ProblemSpec) -> dict[str, Any]:
 def run(spec: ProblemSpec) -> Report:
     """Dispatch a problem to its pipeline and aggregate the report.
 
-    Each pipeline returns the report sections it fills; the report's kind,
-    spec echo, finiteness check and wall time are added here.  Check failures
-    are encoded in the report (exit code 1); malformed or mathematically
+    Each pipeline returns the report sections it fills; the report's kind, spec echo,
+    finiteness check and wall time are added here.  The pipeline pops each matrix from a copy
+    of the spec's dict at its last read, which frees it if the caller kept no reference.
+    Check failures are encoded in the report (exit code 1); malformed or mathematically
     inadmissible inputs raise library errors that callers map to exit code 2.
     """
     pipelines = {"general": _run_general, "offdiag": _run_offdiag, "family": _run_family}
     if spec.kind not in pipelines:
         raise SpecFormatError(f"unknown kind {spec.kind!r}")
     start = time.perf_counter()
-    sections = pipelines[spec.kind](spec)
-    report = Report(kind=spec.kind, spec_echo=_spec_dict(spec, _matrix_digest), **sections)
+    kind, spec_echo = spec.kind, _spec_dict(spec, _matrix_digest)
+    spec = replace(spec, matrices=dict(spec.matrices))  # popped at each matrix's last read
+    sections = pipelines[kind](spec)
+    report = Report(kind=kind, spec_echo=spec_echo, **sections)
     _check_residuals_finite(report)
     report.wall_time_s = time.perf_counter() - start
     return report

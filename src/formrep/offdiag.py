@@ -21,7 +21,7 @@ kernels come from one SVD of ``T``.  An independent nullspace oracle cross-check
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,10 +60,10 @@ class OffDiagonalProblem:
     ``adjoint_kernel`` (``ker T*``), ``coupling_kernel`` (``ker T``) and ``gap_radius``, the
     smallest ``|eig|`` of ``[[I, T], [T*, -I]]``, ``(1 + s_min^2)^(1/2)``, share one SVD of ``T``.
     ``weight_plus`` / ``weight_minus`` are the clamped block decompositions
-    made while validating, ``weight`` the block-diagonal one assembled from
-    them.  ``(A+I)^(1/2)`` is block diagonal: ``shifted_roots`` holds its blocks
-    ``(G_plus, G_minus)``, ``G_pm = (A_pm + I)^(1/2)``, each mapped from its block's
-    decomposition.  The only n x n array held is ``weight.eigenvectors``.
+    made while validating; ``weight``, the block-diagonal one, is assembled
+    from them on each access.  ``(A+I)^(1/2)`` is block diagonal: ``shifted_roots``
+    holds its blocks ``(G_plus, G_minus)``, ``G_pm = (A_pm + I)^(1/2)``, each mapped
+    from its block's decomposition.  No n x n array is held.
     """
 
     diag_plus: np.ndarray
@@ -75,8 +75,19 @@ class OffDiagonalProblem:
     coupling_kernel: SubspaceBasis
     weight_plus: SpectralDecomposition
     weight_minus: SpectralDecomposition
-    weight: SpectralDecomposition
     shifted_roots: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def weight(self) -> SpectralDecomposition:
+        """The block-diagonal weight, eigenvalues stably sorted, in one F-ordered frame."""
+        plus, minus = self.weight_plus, self.weight_minus
+        vals = np.concatenate([plus.eigenvalues, minus.eigenvalues])
+        order = np.argsort(vals, kind="stable")
+        column = order.argsort()  # the sorted column of each block column
+        vecs = np.zeros((vals.size, vals.size), order="F")
+        vecs[: plus.n, column[: plus.n]] = plus.eigenvectors
+        vecs[plus.n :, column[plus.n :]] = minus.eigenvectors
+        return SpectralDecomposition(vals[order], vecs, _weight_norm(self))
 
     @property
     def dim_plus(self) -> int:
@@ -153,15 +164,8 @@ def offdiag_problem(
     squares = np.pad(values**2, (0, abs(p - q)))
     adjoint_kernel = SubspaceBasis(left[:, squares[:p] <= kernel_tol(p, squares[0])])
     coupling_kernel = SubspaceBasis(right_h.T[:, squares[:q] <= kernel_tol(q, squares[0])])
-    del left, right_h  # free U and V* before the n x n weight arrays: no hole left in the heap
+    del left, right_h  # free U and V* before the block roots are mapped: no hole left in the heap
     norm = float(np.linalg.norm(coup, 2))  # the SVD work formbench's tracer counts
-    vals = np.concatenate([weight_plus.eigenvalues, weight_minus.eigenvalues])
-    vecs = np.zeros((vals.size, vals.size))
-    vecs[:p, :p] = weight_plus.eigenvectors
-    vecs[p:, p:] = weight_minus.eigenvectors
-    order = np.argsort(vals, kind="stable")
-    source_norm = max(weight_plus.source_norm, weight_minus.source_norm)
-    weight = SpectralDecomposition(vals[order], vecs[:, order], source_norm)
     return OffDiagonalProblem(
         diag_plus=sym_plus,
         diag_minus=sym_minus,
@@ -172,7 +176,6 @@ def offdiag_problem(
         coupling_kernel=coupling_kernel,
         weight_plus=weight_plus,
         weight_minus=weight_minus,
-        weight=weight,
         shifted_roots=tuple(
             apply_fn(half, lambda lam: np.sqrt(1.0 + lam)) for half in (weight_plus, weight_minus)
         ),
@@ -202,8 +205,12 @@ def check_offdiagonal(coupling_full: np.ndarray, inv: Involution) -> tuple[bool,
     return residual <= OFFDIAG_TOL * max(norm, np.finfo(np.float64).tiny), residual
 
 
+def _weight_norm(problem: OffDiagonalProblem) -> float:
+    return max(problem.weight_plus.source_norm, problem.weight_minus.source_norm)
+
+
 def _form_scale(problem: OffDiagonalProblem) -> float:
-    return (1.0 + problem.weight.source_norm) * (1.0 + problem.coupling_norm)
+    return (1.0 + _weight_norm(problem)) * (1.0 + problem.coupling_norm)
 
 
 def form_evaluator(problem: OffDiagonalProblem):
@@ -254,10 +261,11 @@ def assemble_offdiag(problem: OffDiagonalProblem, probe_seed: int = 0) -> Repres
         lambda_min_plus=1.0, lambda_max_minus=-1.0, satisfied=True, alpha_star=1.0
     )
     # B is decomposed before form_evaluator builds its roots: the other order raises peak RSS.
-    return _probed(
+    result = _probed(
         operator, _eigh(operator), form_evaluator(problem), _form_scale(problem), probe_seed,
-        gap_radius=problem.gap_radius, certificate=certificate, weight=problem.weight,
+        gap_radius=problem.gap_radius, certificate=certificate, weight=None,
     )
+    return replace(result, weight=problem.weight)  # the frame is built after the probes
 
 
 def direct_coefficient(problem: OffDiagonalProblem) -> np.ndarray:
@@ -355,7 +363,7 @@ def _definitional_cross_check(
     mapping step between the coupling kernels and the annihilators.  The
     bound is settled Frobenius-first; a breach reports the 2-norm.
     """
-    tol = 1e-8 * (1.0 + problem.coupling_norm) * np.sqrt(1.0 + problem.weight.source_norm)
+    tol = 1e-8 * (1.0 + problem.coupling_norm) * np.sqrt(1.0 + _weight_norm(problem))
     grow_plus, grow_minus = problem.shifted_roots
     halves = (
         ("plus", grow_plus, problem.coupling.conj().T, annihilator_plus),
