@@ -39,7 +39,7 @@ from .spectral import (
     _min_abs,
     _norm2_above,
     _scaled,
-    _signum,
+    _sign,
     _sym_norm,
     apply_fn,
     kernel_tol,
@@ -114,11 +114,10 @@ def _clamped_weight(sym: np.ndarray) -> SpectralDecomposition:
     (the clamp magnitude is logged); anything below ``-tau`` is rejected.
     """
     decomp = _eigh(sym)
-    tau = kernel_tol(decomp.n, decomp.source_norm)
-    lowest = float(decomp.eigenvalues[0])
-    if lowest < -tau:
+    n, norm, lowest = decomp.n, decomp.source_norm, float(decomp.eigenvalues[0])
+    if _sign(lowest, n, norm) < 0:
         raise NotPositiveSemidefiniteError(
-            f"weight matrix has eigenvalue {lowest:.6e} below -{tau:.3e}"
+            f"weight matrix has eigenvalue {lowest:.6e} below -{kernel_tol(n, norm):.3e}"
         )
     if lowest < 0.0:
         logger.debug("clamping weight eigenvalues by %.3e", -lowest)
@@ -178,7 +177,7 @@ def _certify(
     del sym_a  # W and w stand for it from here on
     h_vals = np.linalg.eigvalsh(sym_h)
     h_gap = float(np.min(np.abs(h_vals)))
-    if h_gap <= kernel_tol(sym_h.shape[0], float(np.max(np.abs(h_vals)))):
+    if _sign(h_gap, sym_h.shape[0], float(np.max(np.abs(h_vals)))) == 0:
         raise SingularMatrixError(
             f"coefficient matrix is singular: min |eigenvalue| = {h_gap:.3e}"
         )
@@ -207,14 +206,15 @@ def _certify(
 def _margin_refusal(block: str, vals: np.ndarray, sign: int) -> str | None:
     """Why an H-block with eigenvalues ``vals`` does not certify, or None when its margin,
     the least of ``sign * vals``, exceeds ``kernel_tol`` of the block."""
-    margin = float(np.min(sign * vals))
-    tau = kernel_tol(len(vals), float(np.max(np.abs(vals))))
-    if margin > tau:
+    margin, n, norm = float(np.min(sign * vals)), len(vals), float(np.max(np.abs(vals)))
+    verdict = _sign(margin, n, norm)
+    if verdict > 0:
         return None
     side, extreme = ("positive", "min") if sign > 0 else ("negative", "max")
     detail = f"{extreme} eigenvalue {sign * margin:.6e}"
-    if margin >= -tau:
-        return f"{block} block margin is within rounding of zero: {detail}, tolerance {tau:.3e}"
+    if verdict == 0:
+        tolerance = f"tolerance {kernel_tol(n, norm):.3e}"
+        return f"{block} block margin is within rounding of zero: {detail}, {tolerance}"
     return f"{block} block is not uniformly {side}: {detail}"
 
 
@@ -264,7 +264,7 @@ def _probe_residuals(
 def _represented_side(decomp: SpectralDecomposition):
     """``<|B|^(1/2) x, sign(B) |B|^(1/2) y> = <V* x, sign(lam)|lam| V* y>``, sign 0 in ker B."""
     vecs_h = decomp.eigenvectors.conj().T
-    weights = _signum(decomp, 0.0)(decomp.eigenvalues) * np.abs(decomp.eigenvalues)
+    weights = _sign(decomp.eigenvalues, decomp.n, decomp.source_norm) * np.abs(decomp.eigenvalues)
     return lambda xs, ys: _pairing(vecs_h @ xs, _scaled(vecs_h @ ys, weights[:, None]))
 
 

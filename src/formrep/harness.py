@@ -121,6 +121,8 @@ def _strings_to_matrix(rows: Any, name: str) -> np.ndarray:
         )
     if not stacked and (width == 0 or any(len(r) != width for r in rows)):
         raise SpecFormatError(f"matrix {name} has ragged or empty rows")
+    if not stacked and any(bool in map(type, r) for r in rows if isinstance(r, list)):
+        raise SpecFormatError(f"matrix {name} has a non-numeric entry: true or false")
     try:
         data = np.asarray(rows) if stacked else np.array(
             [r if isinstance(r, np.ndarray) else list(map(float, r)) for r in rows]
@@ -134,9 +136,13 @@ def _strings_to_matrix(rows: Any, name: str) -> np.ndarray:
     return data
 
 
-def _float_row(text: str, end: int) -> tuple[Any, int]:
-    """The row at ``end``, as float64 if it is a list whose entries all convert."""
-    row, end = _SCAN(text, end)
+def _float_row(text: str, start: int) -> tuple[Any, int]:
+    """The row at ``start``, as float64 if it is a list whose entries all convert.  A row whose
+    text holds a ``u`` or an ``l`` (one memchr each), as ``true`` and ``false`` do and no number
+    does, is left for ``_strings_to_matrix`` to refuse: ``float()`` would read a bool as 1 or 0."""
+    row, end = _SCAN(text, start)
+    if text.find("u", start, end) >= 0 or text.find("l", start, end) >= 0:
+        return row, end
     try:
         return (np.array(list(map(float, row))) if isinstance(row, list) else row), end
     except _NOT_A_FLOAT:
@@ -447,19 +453,14 @@ def gen_counterexample(size: int) -> ProblemSpec:
     )
 
 
-def _random_spd(n: int, low: float, high: float, rng: np.random.Generator) -> np.ndarray:
-    frame = random_orthogonal(n, rng)
-    vals = rng.uniform(low, high, size=n)
-    return (frame * vals) @ frame.T
-
-
-def _random_psd_with_kernel(
-    n: int, kernel_dim: int, rng: np.random.Generator
+def _random_psd(
+    n: int, rng: np.random.Generator, low: float = 0.3, high: float = 3.0, kernel_dim: int = 0
 ) -> np.ndarray:
+    """``Q diag(0, ..., 0, u) Q*``: a random frame ``Q``, ``kernel_dim`` zeros, ``u`` uniform."""
     if not 0 <= kernel_dim <= n:
         raise FormrepError(f"kernel dimension {kernel_dim} must lie in [0, block size {n}]")
     frame = random_orthogonal(n, rng)
-    vals = np.concatenate([np.zeros(kernel_dim), rng.uniform(0.3, 3.0, n - kernel_dim)])
+    vals = np.concatenate([np.zeros(kernel_dim), rng.uniform(low, high, n - kernel_dim)])
     return (frame * vals) @ frame.T
 
 
@@ -494,8 +495,8 @@ def gen_random(
             rng.uniform(size=n) < 0.25, 0.0, rng.uniform(0.1, 5.0, size=n)
         )
         weight = (frame * weight_vals) @ frame.T
-        plus_block = _random_spd(dim_plus, alpha_target, alpha_target + 2.5, rng)
-        minus_block = -_random_spd(dim_minus, alpha_target, alpha_target + 2.5, rng)
+        plus_block = _random_psd(dim_plus, rng, alpha_target, alpha_target + 2.5)
+        minus_block = -_random_psd(dim_minus, rng, alpha_target, alpha_target + 2.5)
         coupling = rng.standard_normal((dim_plus, dim_minus))
         coupling *= rng.uniform(0.2, 2.0) / max(np.linalg.norm(coupling, 2), 1e-12)
         blocks = np.zeros((n, n))
@@ -520,8 +521,8 @@ def gen_random(
         if not (1 <= dim_plus <= MAX_RANDOM_DIM and 1 <= dim_minus <= MAX_RANDOM_DIM):
             raise FormrepError(f"offdiag block sizes must be in [1, {MAX_RANDOM_DIM}]")
         ker_plus, ker_minus = int(kernel_dims[0]), int(kernel_dims[1])
-        block_plus = _random_psd_with_kernel(dim_plus, ker_plus, rng)
-        block_minus = _random_psd_with_kernel(dim_minus, ker_minus, rng)
+        block_plus = _random_psd(dim_plus, rng, kernel_dim=ker_plus)
+        block_minus = _random_psd(dim_minus, rng, kernel_dim=ker_minus)
         coupling = rng.standard_normal((dim_plus, dim_minus))
         coupling *= rng.uniform(0.3, 1.5) / max(np.linalg.norm(coupling, 2), 1e-12)
         mode = seed % 3
@@ -553,14 +554,10 @@ def gen_random(
 
 
 def _check_residuals_finite(report: Report) -> None:
-    def walk(node: Any) -> None:
-        if isinstance(node, (dict, list)):
-            for value in node.values() if isinstance(node, dict) else node:
-                walk(value)
-        elif isinstance(node, float) and not np.isfinite(node):
-            raise InternalCheckError("report contains a non-finite number")
-
-    walk(asdict(report))
+    try:
+        json.dumps(asdict(report), allow_nan=False)
+    except ValueError as exc:
+        raise InternalCheckError("report contains a non-finite number") from exc
 
 
 def _represented(

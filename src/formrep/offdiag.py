@@ -40,9 +40,9 @@ from .spectral import (
     _eigh,
     _kernel_of,
     _norm2_above,
+    _sign,
     _sym_norm,
     apply_fn,
-    kernel_tol,
     orthonormal_columns,
     principal_angle,
     subspace_intersection,
@@ -158,12 +158,12 @@ def offdiag_problem(
     if not np.isfinite(coup).all():
         raise MatrixValidationError("coupling contains NaN or Inf entries")
     p, q = weight_plus.n, weight_minus.n
-    # T = U diag(s) V*: ker T* / ker T keep the columns of U / V where s^2, zero-padded, passes
-    # kernel_tol(p / q, s_max^2), the nullspace threshold on the eigenvalues of T T* / T* T.
+    # T = U diag(s) V*: ker T* / ker T keep the columns of U / V where s^2, zero-padded, has
+    # sign 0 by the nullspace rule for T T* / T* T: dimension p / q, norm s_max^2.
     left, values, right_h = np.linalg.svd(coup)
     squares = np.pad(values**2, (0, abs(p - q)))
-    adjoint_kernel = SubspaceBasis(left[:, squares[:p] <= kernel_tol(p, squares[0])])
-    coupling_kernel = SubspaceBasis(right_h.T[:, squares[:q] <= kernel_tol(q, squares[0])])
+    adjoint_kernel = SubspaceBasis(left[:, _sign(squares[:p], p, squares[0]) == 0])
+    coupling_kernel = SubspaceBasis(right_h.T[:, _sign(squares[:q], q, squares[0]) == 0])
     del left, right_h  # free U and V* before the block roots are mapped: no hole left in the heap
     norm = float(np.linalg.norm(coup, 2))  # the SVD work formbench's tracer counts
     return OffDiagonalProblem(

@@ -35,11 +35,18 @@ def kernel_tol(n: int, norm: float, scale: float = 1.0) -> float:
 
     Eigenvalues with magnitude at or below ``tau`` are treated as zero.
     This is the kernel-decision threshold; only ``nullspace`` accepts an override.
+    Every kernel, sign and margin decision reads it through ``_sign``.
     ``subspace_intersection`` reads it with ``norm = 2``, ``scale = 8`` as a rule on
     principal angles: ``sin theta <= sqrt(tau (2 - tau))``, that is ``1 - cos theta <= tau``.
     The flag, commutation, off-diagonal and residual bounds are separate constants.
     """
     return n * EPS * norm * scale
+
+
+def _sign(values, n: int, norm, zero: float = 0.0, scale: float = 1.0) -> np.ndarray:
+    """``sign(values)``, with ``zero`` where ``|values| <= kernel_tol(n, norm, scale)``: the zero
+    band is closed at ``+-tau``, the sign strict outside it; ``norm`` may be an array."""
+    return np.where(np.abs(values) <= kernel_tol(n, norm, scale), zero, np.sign(values))
 
 
 def symmetrize(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -265,12 +272,6 @@ def _spectral_map(decomp: SpectralDecomposition, values: np.ndarray) -> np.ndarr
     return _hermitian((vecs * values) @ vecs.conj().T)
 
 
-def _signum(decomp: SpectralDecomposition, zero: float) -> Callable:
-    """Sign of eigenvalues of ``decomp``, one or an array; ``zero`` inside ``kernel_tol``."""
-    tau = kernel_tol(decomp.n, decomp.source_norm)
-    return lambda lam: np.where(np.abs(lam) <= tau, zero, np.sign(lam))
-
-
 def matrix_function(mat: np.ndarray, fn: Callable[[float], float]) -> np.ndarray:
     """Convenience wrapper: ``apply_fn(eig_sym(mat), fn)``."""
     return apply_fn(eig_sym(mat), fn)
@@ -288,8 +289,10 @@ def nullspace(mat: np.ndarray, tol_policy: float | None = None) -> SubspaceBasis
 
 def _kernel_of(decomp: SpectralDecomposition, tol_policy: float | None = None) -> SubspaceBasis:
     """``nullspace`` of the matrix that ``decomp`` decomposes."""
-    tau = kernel_tol(decomp.n, decomp.source_norm) if tol_policy is None else float(tol_policy)
-    return SubspaceBasis(decomp.eigenvectors[:, np.abs(decomp.eigenvalues) <= tau])
+    vals, vecs = decomp.eigenvalues, decomp.eigenvectors
+    if tol_policy is None:
+        return SubspaceBasis(vecs[:, _sign(vals, decomp.n, decomp.source_norm) == 0])
+    return SubspaceBasis(vecs[:, np.abs(vals) <= float(tol_policy)])
 
 
 def op_norm(mat: np.ndarray) -> float:

@@ -32,11 +32,10 @@ from .spectral import (
     _min_abs,
     _norm2_above,
     _scaled,
-    _signum,
+    _sign,
     _spectral_map,
     _sym_norm,
     eig_sym,
-    kernel_tol,
     symmetrize,
 )
 
@@ -92,7 +91,7 @@ def sgn_matrix(mat: np.ndarray, zero_sign: int = 1) -> np.ndarray:
     ``zero_sign`` is immaterial.
     """
     s, decomp = _validate_zero_sign(zero_sign), eig_sym(mat)
-    return _spectral_map(decomp, _signum(decomp, float(s))(decomp.eigenvalues))
+    return _spectral_map(decomp, _sign(decomp.eigenvalues, decomp.n, decomp.source_norm, s))
 
 
 def stability_suite(
@@ -142,10 +141,10 @@ def _stability(owned: list, s: int) -> StabilityReport:
     inputs are freed only if the caller keeps no reference: then the suite peaks near 5 n^2."""
     weight, sym_b, decomp = owned
     owned.clear()
-    lam = decomp.eigenvalues
-    signs = _signum(decomp, float(s))(lam)
+    lam, n, norm = decomp.eigenvalues, decomp.n, decomp.source_norm
+    signs = _sign(lam, n, norm, s)
     # (sgn_s - sgn_0)(B) B and (sgn_s - sgn_0)(B) |B| both have norm max |(sgn_s - sgn_0) lam|.
-    sign_gap = signs - _signum(decomp, 0.0)(lam)
+    sign_gap = signs - _sign(lam, n, norm)
     shifted = _spectral_map(decomp, signs)
     shifted += sym_b
     del sym_b  # dropped after its last use, as is each n x n matrix below
@@ -226,12 +225,12 @@ def sufficient_definite(mat_h: np.ndarray, operator: np.ndarray) -> bool:
     sym_h = symmetrize(mat_h, "coefficient")
     sym_b = symmetrize(operator, "operator")
     vals = np.linalg.eigvalsh(sym_h)
-    tau = kernel_tol(sym_h.shape[0], float(np.max(np.abs(vals), initial=0.0)))
-    for sign, definite in ((1, vals[0] > tau), (-1, vals[-1] < -tau)):
-        if definite:
+    n, norm = sym_h.shape[0], float(np.max(np.abs(vals), initial=0.0))
+    for sign, extreme in ((1, vals[0]), (-1, vals[-1])):
+        if _sign(extreme, n, norm) == sign:
             lam = np.linalg.eigvalsh(sym_b)
-            zero = np.abs(lam) <= kernel_tol(len(lam), float(np.max(np.abs(lam))))
-            defect = float(np.max(np.abs(np.where(zero, sign, np.sign(lam)) - sign)))
+            signs = _sign(lam, len(lam), float(np.max(np.abs(lam))), sign)
+            defect = float(np.max(np.abs(signs - sign)))
             if defect > 1e-10:
                 raise InternalCheckError(
                     f"{'positive' if sign > 0 else 'negative'} coefficient but sign is not "
@@ -267,16 +266,17 @@ def sufficient_semibounded(
     n = weight.n
     shifted_vals = np.linalg.eigvalsh(sym_b + inv.matrix)
     constants = (_sym_norm(sym_b) + 1.0) * 2.0 ** np.arange(_MAX_DOUBLINGS)  # the doublings
-    if not min(np.abs(shifted_vals)) > kernel_tol(n, float(np.max(np.abs(shifted_vals)))):
+    if not _sign(shifted_vals, n, float(np.max(np.abs(shifted_vals)))).all():
         # The spectrum of a singular B + J is never clear, so no constant can certify.
         return False, float(constants[-1])
 
-    tau_inverse = kernel_tol(n, 1.0 / max(min(np.abs(shifted_vals)), 1e-300))
+    inverse_norm = 1.0 / max(min(np.abs(shifted_vals)), 1e-300)
     grow = np.sqrt(1.0 + weight.eigenvalues)[:, None]
     congruent_vals = np.linalg.eigvalsh(_scaled(_in_frame(weight, sym_coeff), grow, grow.T))
     candidates = congruent_vals[:, None] + constants  # column k: spectrum of G H_shifted G + c_k
-    positive = candidates[0] > kernel_tol(n, np.max(np.abs(candidates), axis=0))
-    clear = np.min(np.abs(1.0 / shifted_vals[:, None] - (-1.0 / constants)), axis=0) > tau_inverse
+    positive = _sign(candidates[0], n, np.max(np.abs(candidates), axis=0)) > 0
+    distances = np.min(np.abs(1.0 / shifted_vals[:, None] - (-1.0 / constants)), axis=0)
+    clear = _sign(distances, n, inverse_norm) != 0
     passed = np.flatnonzero(positive & clear)
     return (True, float(constants[passed[0]])) if passed.size else (False, float(constants[-1]))
 
@@ -302,15 +302,14 @@ def spectral_identity_residual(left: np.ndarray, right: np.ndarray) -> float:
         )
     prod_small = lmat @ rmat
     prod_large = rmat @ lmat
-    scale = max(
+    norm = max(
         float(np.linalg.norm(prod_small, 2)) if prod_small.size else 0.0,
         float(np.linalg.norm(prod_large, 2)) if prod_large.size else 0.0,
     )
-    tau = kernel_tol(max(lmat.shape), scale, scale=NONNORMAL_TOL_SCALE)
     eig_small = np.linalg.eigvals(prod_small) if prod_small.size else np.array([])
     eig_large = np.linalg.eigvals(prod_large) if prod_large.size else np.array([])
-    nz_small = eig_small[np.abs(eig_small) > tau]
-    nz_large = eig_large[np.abs(eig_large) > tau]
+    nz_small = eig_small[_sign(eig_small, max(lmat.shape), norm, scale=NONNORMAL_TOL_SCALE) != 0]
+    nz_large = eig_large[_sign(eig_large, max(lmat.shape), norm, scale=NONNORMAL_TOL_SCALE) != 0]
     if nz_small.size == 0 and nz_large.size == 0:
         return 0.0
     if nz_small.size == 0:

@@ -56,6 +56,9 @@ MALFORMED = {
     "flag_tol_scale_negative": ({}, ["--tol-scale=-1"]),
     "flag_tol_scale_zero": ({}, ["--tol-scale=0"]),
     "flag_tol_scale_nan": ({}, ["--tol-scale=nan"]),
+    "matrix_entry_bool": (
+        {"matrices": {**MINIMAL_GENERAL["matrices"], "A": [[True, False], [False, True]]}}, []
+    ),
     "asymmetric_H": (
         {"matrices": {**MINIMAL_GENERAL["matrices"], "H": [["2", "0.6"], ["0.4", "-3"]]}},
         [],
@@ -281,6 +284,17 @@ class TestLoadSpec:
         payload = json.loads(json.dumps(MINIMAL_GENERAL))
         payload["matrices"]["A"][0][0] = "abc"
         with pytest.raises(SpecFormatError, match="non-numeric"):
+            load_spec(write_json(tmp_path, payload))
+
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_boolean_entry_refused_on_both_paths(self, tmp_path, entry):
+        # float() reads true as 1.0 and false as 0.0; a matrix entry is a number or a string.
+        payload = json.loads(json.dumps(MINIMAL_GENERAL))
+        payload["matrices"]["H"][1][1] = entry
+        message = "^matrix H has a non-numeric entry: true or false$"
+        with pytest.raises(SpecFormatError, match=message):
+            harness.spec_from_dict(payload)
+        with pytest.raises(SpecFormatError, match=message):
             load_spec(write_json(tmp_path, payload))
 
     def test_one_ulp_asymmetry_loads_as_written(self, tmp_path):

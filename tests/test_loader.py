@@ -31,7 +31,7 @@ LOADER_SETTINGS = settings(max_examples=300, derandomize=True, database=None, de
 #: Text layouts a problem file may take: ``save_spec``'s, and compact JSON.
 LAYOUTS = {"save_spec": {"indent": 2, "sort_keys": True}, "compact": {"separators": (",", ":")}}
 
-#: Values put in place of one entry: numbers and bools convert, the others do not.
+#: Values put in place of one entry: numbers convert, the others (bools too) do not.
 ENTRIES = ["abc", "", 2.5, -3, 10**400, True, False, None, {"x": "1"}]
 
 #: Values put in place of the ``"matrices"`` object, or given to a duplicate key.
@@ -266,6 +266,10 @@ LARGE_REFUSALS = {
         "matrix A has a non-numeric entry: could not convert string to float: 'abc'",
     ),
     "ragged_last_row": (ragged_last_row, "matrix H has ragged or empty rows"),
+    "false_in_row_100": (
+        lambda text: replaced(text, "H", 100, 5, "false"),
+        "matrix H has a non-numeric entry: true or false",
+    ),
     "trailing_junk": (lambda text: text + "}\n", "parse error in {} at line "),
     "integer_beyond_float_range": (
         lambda text: replaced(text, "J", 200, 3, "1" + "0" * 400),

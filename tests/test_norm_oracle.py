@@ -35,7 +35,7 @@ from formrep.errors import InternalCheckError
 from formrep.spectral import (
     SpectralDecomposition,
     _gram_norm,
-    _signum,
+    _sign,
     _sym_norm,
     apply_fn,
     min_abs_eig,
@@ -61,14 +61,17 @@ def svd_suite(weight, sym_b, decomp):
     eye = np.eye(sym_b.shape[0])
     grow = apply_fn(weight, lambda lam: np.sqrt(1.0 + lam))
     shrink = apply_fn(weight, lambda lam: 1.0 / np.sqrt(1.0 + lam))
-    signed = _signum(decomp, 1.0)
+
+    def signed(lam, zero=1.0):
+        return _sign(lam, decomp.n, decomp.source_norm, zero)
+
     sign_mat = apply_fn(decomp, signed)
     x = shrink @ apply_fn(decomp, lambda lam: abs(lam + signed(lam))) @ shrink
     y = grow @ apply_fn(decomp, lambda lam: 1.0 / abs(lam + signed(lam))) @ grow
     xt = grow @ apply_fn(decomp, lambda lam: 1.0 / (lam + signed(lam))) @ grow
     forward = shrink @ (sym_b + sign_mat) @ shrink
     conj = grow @ sign_mat @ shrink
-    sign_gap = sign_mat - apply_fn(decomp, _signum(decomp, 0.0))
+    sign_gap = sign_mat - apply_fn(decomp, lambda lam: signed(lam, 0.0))
 
     def inverse_defect(first, second):
         return max(norm(first @ second - eye), norm(second @ first - eye))

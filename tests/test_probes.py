@@ -26,7 +26,7 @@ from formrep.general import (
     _probe_residuals,
     _represented_side,
 )
-from formrep.spectral import _eigh, _signum, apply_fn
+from formrep.spectral import _eigh, _sign, apply_fn
 from test_norm_oracle import ORACLE_CASES, assembled
 
 
@@ -49,7 +49,7 @@ def loop_probes(n, seed=0):
 def mapped_side(decomp):
     """``<|B|^(1/2) x, sign(B) |B|^(1/2) y>`` with both factors mapped by ``apply_fn``."""
     abs_root = apply_fn(decomp, lambda lam: np.sqrt(abs(lam)))
-    zero_sign = apply_fn(decomp, _signum(decomp, 0.0))
+    zero_sign = apply_fn(decomp, lambda lam: _sign(lam, decomp.n, decomp.source_norm))
     return lambda xs, ys: _pairing(abs_root @ xs, zero_sign @ (abs_root @ ys))
 
 
