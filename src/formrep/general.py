@@ -348,7 +348,7 @@ def associate_general(
     HypothesisRefusedError
         If the certificate is refused and ``force`` is False.
     InternalCheckError
-        If the two assembly routes disagree beyond ``1e-10 * scale``.
+        If the two assembly routes disagree beyond ``1e-10 * (scale + 1)``.
     """
     certificate, sym_h, weight, h_vals, j_frame = _certify(mat_a, mat_h, inv)
     del mat_a, mat_h, inv  # freed here when the caller passed its only references
@@ -367,11 +367,11 @@ def associate_general(
     route = _scaled(grow * shifted, grow.T)
     route -= j_frame
     route -= b_frame
-    route_gap = _norm2_above(route, 1e-10 * scale)
+    bound = 1e-10 * (scale + 1.0)  # the route cancels J_W, of norm 1, as well as B_W
+    route_gap = _norm2_above(route, bound)
     if route_gap is not None:
         raise InternalCheckError(
-            f"assembly routes disagree: ||(B~ - J) - B|| = {route_gap:.3e} "
-            f"exceeds {1e-10 * scale:.3e}"
+            f"assembly routes disagree: ||(B~ - J) - B|| = {route_gap:.3e} exceeds {bound:.3e}"
         )
     gap_radius = _min_abs(shifted)
     del shifted, j_frame, route

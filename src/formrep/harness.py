@@ -29,7 +29,7 @@ from .errors import (
 from .general import RepresentationResult, _gap_margin, associate_general
 from .involution import make_involution
 from .offdiag import _kernel_report, assemble_offdiag, direct_coefficient, offdiag_problem
-from .spectral import random_orthogonal
+from .spectral import _sign, random_orthogonal
 from .stability import _stability, family_diagnostics
 
 _KINDS = ("general", "offdiag", "family")
@@ -599,7 +599,7 @@ def _run_general(spec: ProblemSpec) -> dict[str, Any]:
             "certificate": asdict(exc.certificate),
             "representation": {"refusal": str(exc)},
         }
-    cert, owned = result.certificate, [result]
+    cert, owned, n = result.certificate, [result], result.decomposition.n
     checks: dict[str, bool] = {}
     margin = _gap_margin(result, splitting)
     if cert.satisfied:
@@ -607,8 +607,8 @@ def _run_general(spec: ProblemSpec) -> dict[str, Any]:
         checks["gap_radius_above_alpha"] = result.gap_radius >= cert.alpha_star - 1e-8 * tol
     del splitting, result  # the suite sets the run's peak: drop the matrices nothing reads again
     sections = _represented(owned, tol, checks, certified=cert.satisfied, gap_margin=margin)
-    shifted_gap = sections["stability"]["shifted_gap"]
-    sections["checks"]["shifted_unit_gap"] = shifted_gap >= 1.0 - 1e-10 * tol
+    gap, norm = sections["stability"]["shifted_gap"], sections["representation"]["operator_norm"]
+    sections["checks"]["shifted_unit_gap"] = not _sign(gap - 1.0, n, 1.0 + norm, scale=2 * tol) < 0
     return {**sections, "certificate": asdict(cert)}
 
 

@@ -41,8 +41,8 @@ from .spectral import (
     _kernel_of,
     _norm2_above,
     _sign,
+    _spectral_map,
     _sym_norm,
-    apply_fn,
     orthonormal_columns,
     principal_angle,
     subspace_intersection,
@@ -177,7 +177,7 @@ def offdiag_problem(
         weight_plus=weight_plus,
         weight_minus=weight_minus,
         shifted_roots=tuple(
-            apply_fn(half, lambda lam: np.sqrt(1.0 + lam)) for half in (weight_plus, weight_minus)
+            _spectral_map(w, np.sqrt(1.0 + w.eigenvalues)) for w in (weight_plus, weight_minus)
         ),
     )
 
@@ -223,8 +223,8 @@ def form_evaluator(problem: OffDiagonalProblem):
     rows: ``A_pm^(1/2)`` (mapped per block), ``G_pm`` and ``T``; ``J`` acts as their sign.
     """
     p, coupling = problem.dim_plus, problem.coupling
-    root_plus = apply_fn(problem.weight_plus, np.sqrt)
-    root_minus = apply_fn(problem.weight_minus, np.sqrt)
+    root_plus = _spectral_map(problem.weight_plus, np.sqrt(problem.weight_plus.eigenvalues))
+    root_minus = _spectral_map(problem.weight_minus, np.sqrt(problem.weight_minus.eigenvalues))
     grow_plus, grow_minus = problem.shifted_roots
 
     def value(x: np.ndarray, y: np.ndarray):
@@ -286,7 +286,7 @@ def direct_coefficient(problem: OffDiagonalProblem) -> np.ndarray:
     )
     defect = 0.0
     for part, sign, half, grown, diag in halves:
-        block = sign * (np.eye(half.n) - apply_fn(half, lambda lam: 1.0 / (1.0 + lam)))
+        block = sign * (np.eye(half.n) - _spectral_map(half, 1.0 / (1.0 + half.eigenvalues)))
         out[part, part] = block
         defect = max(defect, _norm2_above(grown @ block @ grown - sign * diag, tol) or 0.0)
     if defect:

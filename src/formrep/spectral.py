@@ -35,7 +35,7 @@ def kernel_tol(n: int, norm: float, scale: float = 1.0) -> float:
 
     Eigenvalues with magnitude at or below ``tau`` are treated as zero.
     This is the kernel-decision threshold; only ``nullspace`` accepts an override.
-    Every kernel, sign and margin decision reads it through ``_sign``.
+    Every kernel, sign, margin and unit-gap decision reads it through ``_sign``.
     ``subspace_intersection`` reads it with ``norm = 2``, ``scale = 8`` as a rule on
     principal angles: ``sin theta <= sqrt(tau (2 - tau))``, that is ``1 - cos theta <= tau``.
     The flag, commutation, off-diagonal and residual bounds are separate constants.
@@ -123,10 +123,11 @@ def _gram_norm(mat: np.ndarray) -> float:
 
 
 def _norm2_above(mat: np.ndarray, bound: float) -> float | None:
-    """``||mat||_2`` if it exceeds ``bound``, else None.  ``||D||_2 <= ||D||_F``,
-    so the Frobenius norm accepts most matrices without a 2-norm."""
-    if np.linalg.norm(mat) <= bound:
-        return None
+    """``||mat||_2`` if it exceeds ``bound``, else None.  ``||D||_2 <= ||D||_F``, so the Frobenius
+    norm accepts most matrices without a 2-norm; an overflowed one is inf and falls through."""
+    with np.errstate(over="ignore"):
+        if np.linalg.norm(mat) <= bound:
+            return None
     norm = _gram_norm(mat)
     return norm if norm > bound else None
 

@@ -103,9 +103,10 @@ def stability_suite(
     conjugate, and the mutually inverse shifted pair; fills every residual
     and sets the seven condition flags from the residuals.
 
-    The shifted matrix ``B + sgn(B)`` is boundedly invertible with unit gap
-    by construction; a breach of that bound indicates a broken sign and is
-    raised, not reported.
+    ``B + sgn(B)`` has unit gap by construction; a breach points at a broken sign and is raised.
+    Its deficit ``1 - min |eig|`` has two rounding sources: an in-band eigenvalue mapped to +-1
+    costs at most ``kernel_tol(n, ||B||)``, and ``eigvalsh`` of the formed sum errs by about
+    ``kernel_tol(n, 1 + ||B||)``, so ``_sign`` decides it at ``scale = 2`` of the latter.
     """
     s = _validate_zero_sign(zero_sign)
     sym_a = symmetrize(mat_a, "weight")
@@ -149,7 +150,7 @@ def _stability(owned: list, s: int) -> StabilityReport:
     shifted += sym_b
     del sym_b  # dropped after its last use, as is each n x n matrix below
     shifted_gap = _min_abs(shifted)
-    if shifted_gap < 1.0 - 1e-10:
+    if _sign(shifted_gap - 1.0, n, 1.0 + norm, scale=2.0) < 0:
         raise InternalCheckError(
             f"shifted matrix lost its unit gap: min |eig(B + sgn B)| = {shifted_gap!r}"
         )

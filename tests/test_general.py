@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import formrep.general as general
 from formrep import (
     CommutationError,
     HypothesisRefusedError,
+    InternalCheckError,
     NotPositiveSemidefiniteError,
     SingularMatrixError,
     associate_general,
@@ -196,6 +198,27 @@ class TestAssociateGeneral:
             rebuilt = shifted_root @ shifted_coefficient(weight, coeff, inv)[1] @ shifted_root
             defect = np.linalg.norm(rebuilt - inv.matrix - result.operator, 2)
             assert defect <= 1e-10 * scale
+
+    def test_route_check_counts_the_splitting_term(self, monkeypatch):
+        # The route also cancels J_W, of norm 1: with H scaled by 1e-8 its rounding is
+        # about eps, above 1e-10 scale.  It is accepted, and a route moved by
+        # 1e-8 (scale + 1) still raises.
+        weight, coeff, inv = hypothesis_instance(24, 0)
+        coeff = 1e-8 * coeff
+        associate_general(weight, coeff, inv)
+        scale = (1.0 + op_norm(weight)) * op_norm(coeff)
+        scaled, moved = general._scaled, []
+
+        def perturbed(mat, *factors):
+            out = scaled(mat, *factors)
+            if not moved:  # the route is the first product associate_general scales
+                out[0, 0] += 1e-8 * (scale + 1.0)
+                moved.append(out)
+            return out
+
+        monkeypatch.setattr(general, "_scaled", perturbed)
+        with pytest.raises(InternalCheckError, match="assembly routes disagree"):
+            associate_general(weight, coeff, inv)
 
 
 class TestGapMargin:

@@ -6,7 +6,8 @@ in ``W``.  The oracle assembles the same objects in the original basis, with fou
 ``H_s = R H R + (A+I)^(-1) J`` with ``R = A^(1/2) (A+I)^(-1/2)``, its gap radius
 ``min |eig H_s|``, and the route ``(A+I)^(1/2) H_s (A+I)^(1/2) - J``, which is ``B``.  The
 certificate's oracle is the pair of block spectra of ``H`` in the splitting's coordinates,
-to rounding.
+to rounding.  A change of units scales ``B`` with ``H`` or the weight, and a run of the
+rescaled problem certifies it and raises no internal check.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formrep import associate_general, block_decompose, gen_random, make_involution
+from formrep import associate_general, block_decompose, gen_random, make_involution, run
 from formrep.general import _clamped_weight
 from formrep.spectral import apply_fn, min_abs_eig, random_orthogonal, symmetrize
 
@@ -75,3 +76,29 @@ def test_complex_hermitian_assembly_matches_the_oracle():
     turned = {name: unitary @ mats[name] @ unitary.conj().T for name in ("A", "H", "J")}
     assert all(np.abs(mat.imag).max() > 0.1 for mat in turned.values())
     assert_matches_oracle(turned["A"], turned["H"], make_involution(turned["J"]))
+
+
+@ORACLE_SETTINGS
+@given(n=st.integers(2, 32), seed=st.integers(0, 2**31 - 1), exponent=st.integers(-8, 5))
+def test_rescaled_coefficient_runs_clean(n, seed, exponent):
+    spec = gen_random("general", n, seed)
+    spec.matrices["H"] = spec.matrices["H"] * 10.0**exponent
+    assert run(spec).certificate["satisfied"]
+
+
+@ORACLE_SETTINGS
+@given(
+    dims=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    seed=st.integers(0, 2**31 - 1),
+    kernels=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    exponent=st.integers(0, 6),
+)
+def test_rescaled_weights_run_clean(dims, seed, kernels, exponent):
+    # Weights up to 1e6 keep n eps ||A|| below 1e-8.  Weights with n eps ||A|| >= 1 are left
+    # out: their computed kernel eigenvalues, of that size, swamp the unit shift of A + I, and
+    # _definitional_cross_check raises (from A_pm times 1e17 at these sizes).
+    kernels = (min(kernels[0], dims[0]), min(kernels[1], dims[1]))
+    spec = gen_random("offdiag", dims, seed, kernel_dims=kernels)
+    for name in ("A_plus", "A_minus"):
+        spec.matrices[name] = spec.matrices[name] * 10.0**exponent
+    run(spec)
