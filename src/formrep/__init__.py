@@ -42,8 +42,8 @@ from .harness import (
     FAMILIES,
     ProblemSpec,
     Report,
-    constant_pair,
     counterexample_pair,
+    gen_constant,
     gen_counterexample,
     gen_random,
     load_spec,
@@ -88,9 +88,7 @@ from .spectral import (
     symmetrize,
 )
 from .stability import (
-    FamilyDiagnostics,
     StabilityReport,
-    family_diagnostics,
     sgn_matrix,
     spectral_identity_residual,
     stability_suite,

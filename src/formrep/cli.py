@@ -13,7 +13,7 @@ from typing import NoReturn
 
 from .errors import FormrepError, SpecFormatError
 from .harness import (
-    MAX_FAMILY_SIZE,
+    MAX_FAMILY_INDEX,
     ProblemSpec,
     _tolerance,
     Report,
@@ -121,8 +121,8 @@ def _parse_sizes(text: str) -> list[int]:
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise SpecFormatError(f"empty size range {text!r}")
-        if hi > MAX_FAMILY_SIZE:
-            raise SpecFormatError(f"family sizes stop at {MAX_FAMILY_SIZE}, got {text!r}")
+        if hi > MAX_FAMILY_INDEX:
+            raise SpecFormatError(f"family sizes stop at {MAX_FAMILY_INDEX}, got {text!r}")
         return list(range(lo, hi + 1))
     return [int(part) for part in text.split(",") if part.strip()]
 

@@ -21,16 +21,24 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import (
+    EnumerationBoundError,
     FormrepError,
     HypothesisRefusedError,
     InternalCheckError,
+    SingularMatrixError,
     SpecFormatError,
 )
-from .general import RepresentationResult, _gap_margin, associate_general
-from .involution import make_involution
+from .general import (
+    RepresentationResult,
+    _clamped_weight,
+    _gap_margin,
+    associate_general,
+    check_gap_hypothesis,
+)
+from .involution import enumerate_diagonal_involutions, make_involution
 from .offdiag import _kernel_report, assemble_offdiag, direct_coefficient, offdiag_problem
-from .spectral import _sign, random_orthogonal
-from .stability import _stability, family_diagnostics
+from .spectral import _gram_norm, _in_frame, _sign, random_orthogonal, symmetrize
+from .stability import _stability
 
 _KINDS = ("general", "offdiag", "family")
 _REQUIRED_MATRICES = {"general": ("A", "H", "J"), "offdiag": ("A_plus", "A_minus", "T")}
@@ -38,7 +46,10 @@ _SQUARE_SYMMETRIC = {"A", "H", "J", "A_plus", "A_minus"}
 #: Rows of a matrix per ``%`` in ``save_spec``: no string it builds spans more rows.
 _WRITE_BLOCK = 256
 
+#: Largest size ``gen_counterexample`` materializes.
 MAX_FAMILY_SIZE = 64
+#: Largest family size a family run admits to the exhaustive involution sweep.
+MAX_FAMILY_INDEX = 6
 #: Largest matrix dimension a generator draws or a problem file may hold.
 MAX_RANDOM_DIM = 2048
 
@@ -416,21 +427,6 @@ def counterexample_pair(size: int) -> tuple[np.ndarray, np.ndarray]:
     return weight, coeff
 
 
-def constant_pair(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat reference family: identity weight, alternating-sign coefficient."""
-    if size < 1:
-        raise FormrepError(f"family size must be >= 1, got {size}")
-    n = 2 * size
-    signs = np.array([1.0, -1.0] * size)
-    return np.eye(n), np.diag(signs)
-
-
-FAMILIES: dict[str, Callable[[int], tuple[np.ndarray, np.ndarray]]] = {
-    "counterexample": counterexample_pair,
-    "constant": constant_pair,
-}
-
-
 def gen_counterexample(size: int) -> ProblemSpec:
     """Materialized single-truncation problem for the swap family.
 
@@ -443,7 +439,6 @@ def gen_counterexample(size: int) -> ProblemSpec:
             f"family size must be between 1 and {MAX_FAMILY_SIZE}, got {size}"
         )
     weight, coeff = counterexample_pair(size)
-    n = weight.shape[0]
     splitting = np.diag(np.array([1.0, -1.0] * size))
     return ProblemSpec(
         kind="general",
@@ -451,6 +446,26 @@ def gen_counterexample(size: int) -> ProblemSpec:
         seed=0,
         force=True,
     )
+
+
+def gen_constant(size: int) -> ProblemSpec:
+    """Flat reference truncation: ``A = I`` and ``H = J = diag(1, -1, ...)``, of dimension
+    ``2 size``.  Its own splitting certifies the gap; ``force`` is set as for the swap family."""
+    if size < 1:
+        raise FormrepError(f"family size must be >= 1, got {size}")
+    signs = np.array([1.0, -1.0] * size)
+    return ProblemSpec(
+        kind="general",
+        matrices={"A": np.eye(2 * size), "H": np.diag(signs), "J": np.diag(signs)},
+        force=True,
+    )
+
+
+#: Truncation families by name: each maps a size to the general problem of that truncation.
+FAMILIES: dict[str, Callable[[int], ProblemSpec]] = {
+    "counterexample": gen_counterexample,
+    "constant": gen_constant,
+}
 
 
 def _random_psd(
@@ -642,39 +657,79 @@ def _run_offdiag(spec: ProblemSpec) -> dict[str, Any]:
     }
 
 
+def _family_size(size: int, spec: ProblemSpec) -> tuple[bool, dict[str, float]]:
+    """Whether a diagonal splitting certifies the gap of the family's truncation ``spec`` of
+    ``size``, and its norms.  The weight condition and the proxy for coefficient-preserves-domain,
+    ``||(A+I)^(1/2) H (A+I)^(-1/2)||``, come from the clamped weight; the operator and suite
+    norms from the run of ``spec``."""
+    mats = spec.matrices
+    sym_h = symmetrize(mats["H"], "family coefficient")
+    weight = _clamped_weight(symmetrize(mats["A"], "family weight"))
+    if weight.eigenvalues[0] <= 0.0:
+        raise SingularMatrixError(f"family weight at size {size} is singular")
+    certified = False
+    for inv in enumerate_diagonal_involutions(weight.n):
+        try:
+            certified = check_gap_hypothesis(mats["A"], mats["H"], inv).satisfied
+        except FormrepError:
+            continue
+        if certified:
+            break
+    grow = np.sqrt(1.0 + weight.eigenvalues)
+    conj_norm = _gram_norm(grow[:, None] * _in_frame(weight, sym_h) / grow)
+    sections = _run_general(spec)
+    stab = sections["stability"]
+    return certified, {
+        "operator": sections["representation"]["operator_norm"],
+        "weight_condition": weight.source_norm / float(weight.eigenvalues[0]),
+        "weighted_abs": stab["norm_weighted_abs"],
+        "weighted_abs_inverse": stab["norm_weighted_abs_inverse"],
+        "sign_conjugate": stab["norm_sign_conjugate"],
+        "coefficient_conjugate": conj_norm,
+    }
+
+
 def _run_family(spec: ProblemSpec) -> dict[str, Any]:
+    """Run each truncation of the family through the general pipeline; sizes are checked
+    against ``MAX_FAMILY_INDEX``, the bound of the exhaustive sweep, before any is run."""
     if spec.family_name not in FAMILIES:
         raise SpecFormatError(
             f"unknown family {spec.family_name!r}; known: {sorted(FAMILIES)}"
         )
     if not spec.sizes:
         raise SpecFormatError("family runs need a non-empty list of sizes")
-    tol = spec.tol_scale
-    generator = FAMILIES[spec.family_name]
-    diagnostics = family_diagnostics(generator, spec.sizes or [])
+    sizes = list(spec.sizes)
+    for size in sizes:
+        if size > MAX_FAMILY_INDEX:
+            raise EnumerationBoundError(
+                f"family index {size} exceeds the exhaustive-sweep bound {MAX_FAMILY_INDEX}"
+            )
+        if size < 1:
+            raise FormrepError(f"family index must be >= 1, got {size}")
+    tol, generator = spec.tol_scale, FAMILIES[spec.family_name]
+    rows = [_family_size(size, generator(size)) for size in sizes]
+    outcomes = [certified for certified, _ in rows]
+    sequences = {key: [float(norms[key]) for _, norms in rows] for key in rows[0][1]}
     checks: dict[str, bool] = {}
     if spec.family_name == "counterexample":
         # The family is defined by gap-search failure: failing is the PASS.
-        checks["gap_search_fails_every_size"] = not any(diagnostics.gap_search_outcomes)
-        norms = diagnostics.norm_sequences["operator"]
-        conds = diagnostics.norm_sequences["weight_condition"]
-        checks["operator_norm_is_one"] = all(abs(v - 1.0) <= 1e-12 * tol for v in norms)
+        checks["gap_search_fails_every_size"] = not any(outcomes)
+        checks["operator_norm_is_one"] = all(
+            abs(v - 1.0) <= 1e-12 * tol for v in sequences["operator"]
+        )
         checks["weight_condition_quadratic"] = all(
             abs(cond - (size + 1) ** 2) <= 1e-10 * tol * (size + 1) ** 2
-            for size, cond in zip(diagnostics.truncation_sizes, conds)
+            for size, cond in zip(sizes, sequences["weight_condition"])
         )
     elif spec.family_name == "constant":
-        checks["gap_search_succeeds_every_size"] = all(diagnostics.gap_search_outcomes)
+        checks["gap_search_succeeds_every_size"] = all(outcomes)
     return {
         "checks": checks,
         "family": {
             "name": spec.family_name,
-            "truncation_sizes": diagnostics.truncation_sizes,
-            "norm_sequences": {
-                key: [float(v) for v in vals]
-                for key, vals in diagnostics.norm_sequences.items()
-            },
-            "gap_search_outcomes": [bool(b) for b in diagnostics.gap_search_outcomes],
+            "truncation_sizes": sizes,
+            "norm_sequences": sequences,
+            "gap_search_outcomes": outcomes,
         },
     }
 

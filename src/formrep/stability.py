@@ -9,25 +9,23 @@ statement is vacuously true, so the suite here reports the *norms* of the
 derived operators and flags a condition false only on numerical
 inconsistency.  Across a truncation family, monotone growth of those norms
 is the operational signature of infinite-dimensional failure; the family
-driver collects the growth data and sweeps all diagonal splittings for a
-gap certificate at each truncation size.
+run in ``harness`` reads them from the suite of each truncation's run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .errors import EnumerationBoundError, FormrepError, InternalCheckError, SingularMatrixError
-from .general import _clamped_weight, check_gap_hypothesis
-from .involution import Involution, enumerate_diagonal_involutions
+from .errors import FormrepError, InternalCheckError
+from .general import _clamped_weight
+from .involution import Involution
 from .spectral import (
     SpectralDecomposition,
     _eigh,
     _gram_norm,
-    _hermitian,
     _in_frame,
     _min_abs,
     _norm2_above,
@@ -41,9 +39,6 @@ from .spectral import (
 
 #: Relative tolerance for the consistency flags of the equivalence suite.
 FLAG_TOL = 1e-8
-
-#: Largest family index admitted to the exhaustive involution sweep.
-MAX_FAMILY_INDEX = 6
 
 #: Shift constants ``sufficient_semibounded`` tries before it gives up.
 _MAX_DOUBLINGS = 60
@@ -66,15 +61,6 @@ class StabilityReport:
     sgn_invariance_residual: float
     shifted_gap: float
     conditions: Mapping[str, bool]
-
-
-@dataclass(frozen=True)
-class FamilyDiagnostics:
-    """Per-size norm sequences and gap-search outcomes for a truncation family."""
-
-    truncation_sizes: list[int]
-    norm_sequences: dict[str, list[float]]
-    gap_search_outcomes: list[bool]
 
 
 def _validate_zero_sign(zero_sign: int) -> int:
@@ -134,7 +120,8 @@ def _stability(owned: list, s: int) -> StabilityReport:
     Norms come from ``eigvalsh`` of symmetric matrices, of the Gram matrix of ``K``, or from
     ``lam``; no SVD is taken.  ``||Y|| = 1 / min |eig X|``, as ``Y = X^-1``.  The residuals
     ``X~ F - I`` and ``K^2 - I`` are Frobenius norms, upper bounds on their 2-norms, so flags
-    i and iv are at least as strict as with the 2-norm.  The unit gap and ``F`` use ``sym_b``.
+    i and iv are at least as strict as with the 2-norm; flag i scales by ``||X~|| ||F||``, and
+    ``||F|| <= 1 + ||B||`` as ``(A+I)^(-1/2) <= I``.  The unit gap and ``F`` use ``sym_b``.
     Each n x n matrix lives from its first use to its last: ``B`` until ``B + sgn B`` (unit
     gap, forward pair ``F``) exists, ``W`` and ``V`` until ``F`` and ``Q`` do; then ``X~`` (norm,
     ``X~ F - I``; ``F`` goes), ``X`` (``X~ X``; ``X~`` goes), ``Y`` (norms, flags ii/iii,
@@ -191,7 +178,7 @@ def _stability(owned: list, s: int) -> StabilityReport:
     involution_residual = float(np.linalg.norm(_minus_eye(sign_conjugate @ sign_conjugate)))
     sgn_invariance_residual = float(np.max(np.abs(sign_gap * lam), initial=0.0))
     conditions = {
-        "i": pair_x_y and inverse_pair_residual <= FLAG_TOL * max(1.0, norm_xt * norm_y),
+        "i": pair_x_y and inverse_pair_residual <= FLAG_TOL * max(1.0, norm_xt * (1.0 + norm)),
         "ii": flag_x,
         "iii": flag_x,
         "ii'": flag_y,
@@ -319,74 +306,3 @@ def spectral_identity_residual(left: np.ndarray, right: np.ndarray) -> float:
         return float(np.max(np.abs(nz_small)))
     dist = np.abs(nz_small[:, None] - nz_large[None, :])
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
-
-
-def family_diagnostics(
-    generator: Callable[[int], tuple[np.ndarray, np.ndarray]], sizes: Iterable[int]
-) -> FamilyDiagnostics:
-    """Collect growth diagnostics for a truncation family.
-
-    For each family index the driver exhaustively sweeps every diagonal splitting for a
-    gap certificate, force-builds the associated matrix, and records the stability-suite
-    norms, the operator norm, the weight condition number (a singular weight raises
-    ``SingularMatrixError``) and the conjugated-coefficient norm (the finite-dimensional
-    proxy for coefficient-preserves-domain).  The suite takes the sign of zero as ``+1``.
-    """
-    sizes = list(sizes)
-    for idx in sizes:
-        if idx > MAX_FAMILY_INDEX:
-            raise EnumerationBoundError(
-                f"family index {idx} exceeds the exhaustive-sweep bound "
-                f"{MAX_FAMILY_INDEX}"
-            )
-        if idx < 1:
-            raise FormrepError(f"family index must be >= 1, got {idx}")
-
-    sequences: dict[str, list[float]] = {
-        "operator": [],
-        "weight_condition": [],
-        "weighted_abs": [],
-        "weighted_abs_inverse": [],
-        "sign_conjugate": [],
-        "coefficient_conjugate": [],
-    }
-    outcomes: list[bool] = []
-    for idx in sizes:
-        mat_a, mat_h = generator(idx)
-        sym_a = symmetrize(mat_a, "family weight")
-        sym_h = symmetrize(mat_h, "family coefficient")
-        n = sym_a.shape[0]
-        weight = _clamped_weight(sym_a)
-        if weight.eigenvalues[0] <= 0.0:
-            raise SingularMatrixError(f"family weight at size {idx} is singular")
-
-        any_certified = False
-        for inv in enumerate_diagonal_involutions(n):
-            try:
-                cert = check_gap_hypothesis(sym_a, sym_h, inv)
-            except FormrepError:
-                continue
-            if cert.satisfied:
-                any_certified = True
-                break
-        outcomes.append(any_certified)
-
-        h_frame, vecs, w = _in_frame(weight, sym_h), weight.eigenvectors, weight.eigenvalues
-        operator = _hermitian(vecs @ (np.sqrt(w)[:, None] * h_frame * np.sqrt(w)) @ vecs.conj().T)
-        decomp = _eigh(operator)
-        report = _stability([weight, operator, decomp], 1)
-        # (A+I)^(1/2) H (A+I)^(-1/2) in the eigenbasis
-        conj_norm = _gram_norm(np.sqrt(1.0 + w)[:, None] * h_frame / np.sqrt(1.0 + w))
-
-        sequences["operator"].append(decomp.source_norm)
-        sequences["weight_condition"].append(weight.source_norm / float(weight.eigenvalues[0]))
-        sequences["weighted_abs"].append(report.norm_weighted_abs)
-        sequences["weighted_abs_inverse"].append(report.norm_weighted_abs_inverse)
-        sequences["sign_conjugate"].append(report.norm_sign_conjugate)
-        sequences["coefficient_conjugate"].append(conj_norm)
-
-    return FamilyDiagnostics(
-        truncation_sizes=sizes,
-        norm_sequences=sequences,
-        gap_search_outcomes=outcomes,
-    )

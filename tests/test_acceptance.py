@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from formrep import (
+    ProblemSpec,
     assemble_offdiag,
     associate_general,
     direct_coefficient,
@@ -33,6 +34,7 @@ from formrep import (
     offdiag_problem,
     op_norm,
     resolvent_identity_residual,
+    run,
     sgn_matrix,
     shifted_coefficient,
     spectral_identity_residual,
@@ -41,8 +43,6 @@ from formrep import (
     sufficient_semibounded,
     weight_sqrt,
 )
-from formrep.stability import family_diagnostics
-from formrep.harness import counterexample_pair
 
 GENERAL_COUNT = 200
 OFFDIAG_COUNT = 100
@@ -187,14 +187,15 @@ def test_criterion_5_direct_coefficient_identity(offdiag_ensemble):
 
 def test_criterion_6_swap_family_sweep():
     start = time.perf_counter()
-    diagnostics = family_diagnostics(counterexample_pair, [1, 2, 3, 4, 5])
+    spec = ProblemSpec(kind="family", family_name="counterexample", sizes=[1, 2, 3, 4, 5])
+    diagnostics = run(spec).family
     elapsed = time.perf_counter() - start
-    none_certified = not any(diagnostics.gap_search_outcomes)
-    norm_defect = max(abs(v - 1.0) for v in diagnostics.norm_sequences["operator"])
+    none_certified = not any(diagnostics["gap_search_outcomes"])
+    norm_defect = max(abs(v - 1.0) for v in diagnostics["norm_sequences"]["operator"])
     cond_defect = max(
         abs(cond - (size + 1) ** 2) / (size + 1) ** 2
         for size, cond in zip(
-            diagnostics.truncation_sizes, diagnostics.norm_sequences["weight_condition"]
+            diagnostics["truncation_sizes"], diagnostics["norm_sequences"]["weight_condition"]
         )
     )
     ok = none_certified and norm_defect <= 1e-12 and cond_defect <= 1e-10 and elapsed < 30.0

@@ -599,36 +599,52 @@ class TestCli:
 
     def test_family_range_above_the_size_cap_exit_two_one_line(self, capsys):
         # The stop is checked before the range is built: no list of 10^18 sizes is allocated.
-        assert main(["family", "constant", "--sizes", "1..1000000000000000000"]) == 2
-        err = capsys.readouterr().err
-        cap = harness.MAX_FAMILY_SIZE
-        assert err == f"error: family sizes stop at {cap}, got '1..1000000000000000000'\n"
+        cap = harness.MAX_FAMILY_INDEX
+        for stop in (cap + 1, 10**18):
+            assert main(["family", "constant", "--sizes", f"1..{stop}"]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: family sizes stop at {cap}, got '1..{stop}'\n"
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_families_pass_with_finite_reports(self, name):
         assert main(["family", name, "--sizes", "1..6"]) == 0
 
     def test_non_finite_family_norm_exit_two_one_line(self, monkeypatch, capsys):
-        diagnostics = harness.family_diagnostics
-
-        def with_nan(generator, sizes):
-            out = diagnostics(generator, sizes)
-            out.norm_sequences["coefficient_conjugate"][-1] = float("nan")
-            return out
-
-        monkeypatch.setattr(harness, "family_diagnostics", with_nan)
+        monkeypatch.setattr(harness, "_gram_norm", lambda mat: float("nan"))
         assert main(["family", "constant", "--sizes", "1,2"]) == 2
         err = capsys.readouterr().err
         assert err == "error: report contains a non-finite number\n"
 
     def test_singular_family_weight_exit_two_one_line(self, monkeypatch, capsys):
         def singular(size):  # regular at size 1, singular from size 2 on
-            return np.diag([float(size == 1), 1.0] * size), np.diag([1.0, -1.0] * size)
+            splitting = np.diag([1.0, -1.0] * size)
+            weight = np.diag([float(size == 1), 1.0] * size)
+            return ProblemSpec(
+                kind="general", matrices={"A": weight, "H": splitting, "J": splitting}, force=True
+            )
 
         monkeypatch.setitem(FAMILIES, "singular", singular)
         assert main(["family", "singular", "--sizes", "1..3"]) == 2
         err = capsys.readouterr().err
         assert err == "error: family weight at size 2 is singular\n"
+
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_generated_truncation_verifies_as_the_family_reports(self, tmp_path, size):
+        # One definition serves both commands: the file ``generate counterexample`` writes
+        # verifies to the norms ``family counterexample`` reports at that size, bit for bit.
+        problem, verified, family = (tmp_path / name for name in ("p.json", "v.json", "f.json"))
+        assert main(["generate", "counterexample", "--n", str(size), "--out", str(problem)]) == 0
+        assert main(["verify", str(problem), "--json-out", str(verified)]) == 0
+        argv = ["family", "counterexample", "--sizes", str(size), "--json-out", str(family)]
+        assert main(argv) == 0
+        report = json.loads(verified.read_text())
+        sequences = json.loads(family.read_text())["family"]["norm_sequences"]
+        norms = {key: values[0] for key, values in sequences.items()}
+        stability = report["stability"]
+        assert report["representation"]["operator_norm"] == norms["operator"]
+        assert stability["norm_weighted_abs"] == norms["weighted_abs"]
+        assert stability["norm_weighted_abs_inverse"] == norms["weighted_abs_inverse"]
+        assert stability["norm_sign_conjugate"] == norms["sign_conjugate"]
 
     def test_matrix_above_the_dimension_cap_exit_two_one_line(
         self, tmp_path, monkeypatch, capsys

@@ -7,12 +7,12 @@ in ``W``.  The oracle assembles the same objects in the original basis, with fou
 ``min |eig H_s|``, and the route ``(A+I)^(1/2) H_s (A+I)^(1/2) - J``, which is ``B``.  The
 certificate's oracle is the pair of block spectra of ``H`` in the splitting's coordinates,
 to rounding.  A change of units scales ``B`` with ``H`` or the weight, and a run of the
-rescaled problem certifies it and raises no internal check.
+rescaled problem certifies it, raises no internal check and sets every stability flag.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formrep import associate_general, block_decompose, gen_random, make_involution, run
@@ -79,11 +79,14 @@ def test_complex_hermitian_assembly_matches_the_oracle():
 
 
 @ORACLE_SETTINGS
-@given(n=st.integers(2, 32), seed=st.integers(0, 2**31 - 1), exponent=st.integers(-8, 5))
+@given(n=st.integers(2, 64), seed=st.integers(0, 2**31 - 1), exponent=st.integers(-8, 6))
+@example(n=64, seed=0, exponent=6)  # flag i once scaled X~ F - I by ||Y|| in place of ||F||
 def test_rescaled_coefficient_runs_clean(n, seed, exponent):
     spec = gen_random("general", n, seed)
     spec.matrices["H"] = spec.matrices["H"] * 10.0**exponent
-    assert run(spec).certificate["satisfied"]
+    report = run(spec)
+    assert report.certificate["satisfied"]
+    assert report.checks["stability_conditions_agree"]
 
 
 @ORACLE_SETTINGS

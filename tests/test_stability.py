@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from formrep import (
+    CommutationError,
     EnumerationBoundError,
     FormrepError,
     InternalCheckError,
+    ProblemSpec,
     associate_general,
-    constant_pair,
-    counterexample_pair,
-    family_diagnostics,
     gen_random,
     make_involution,
     matrix_function,
     min_abs_eig,
+    run,
     sgn_matrix,
     shifted_coefficient,
     spectral_identity_residual,
@@ -23,6 +23,7 @@ from formrep import (
     sufficient_semibounded,
     weight_sqrt,
 )
+from formrep import harness
 from formrep.general import _clamped_weight
 from formrep.spectral import apply_fn, kernel_tol, op_norm, symmetrize
 
@@ -255,35 +256,74 @@ class TestSpectralIdentity:
             spectral_identity_residual(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
+def family_run(name, sizes):
+    """The family section of ``run`` on the family ``name`` at ``sizes``."""
+    return run(ProblemSpec(kind="family", family_name=name, sizes=sizes)).family
+
+
 class TestFamilyDiagnostics:
     def test_counterexample_smallest_truncation(self):
-        diag = family_diagnostics(counterexample_pair, [1])
-        assert diag.gap_search_outcomes == [False]
-        assert diag.norm_sequences["operator"][0] == pytest.approx(1.0)
-        assert diag.norm_sequences["weight_condition"][0] == pytest.approx(4.0)
+        diag = family_run("counterexample", [1])
+        assert diag["gap_search_outcomes"] == [False]
+        assert diag["norm_sequences"]["operator"][0] == pytest.approx(1.0)
+        assert diag["norm_sequences"]["weight_condition"][0] == pytest.approx(4.0)
 
     def test_counterexample_growth_signature(self):
-        diag = family_diagnostics(counterexample_pair, [1, 2, 3])
-        assert diag.gap_search_outcomes == [False, False, False]
+        diag = family_run("counterexample", [1, 2, 3])
+        assert diag["gap_search_outcomes"] == [False, False, False]
         np.testing.assert_allclose(
-            diag.norm_sequences["operator"], [1.0, 1.0, 1.0], atol=1e-12
+            diag["norm_sequences"]["operator"], [1.0, 1.0, 1.0], atol=1e-12
         )
         np.testing.assert_allclose(
-            diag.norm_sequences["weight_condition"], [4.0, 9.0, 16.0], rtol=1e-12
+            diag["norm_sequences"]["weight_condition"], [4.0, 9.0, 16.0], rtol=1e-12
         )
         # Unbounded-coefficient signature: the conjugated norms grow.
-        conj = diag.norm_sequences["coefficient_conjugate"]
+        conj = diag["norm_sequences"]["coefficient_conjugate"]
         assert conj[0] < conj[1] < conj[2]
-        sign_conj = diag.norm_sequences["sign_conjugate"]
+        sign_conj = diag["norm_sequences"]["sign_conjugate"]
         np.testing.assert_allclose(sign_conj, np.sqrt([2.0, 3.0, 4.0]), rtol=1e-10)
 
     def test_constant_family_flat(self):
-        diag = family_diagnostics(constant_pair, [1, 2, 3])
-        assert diag.gap_search_outcomes == [True, True, True]
+        diag = family_run("constant", [1, 2, 3])
+        assert diag["gap_search_outcomes"] == [True, True, True]
         for key in ("operator", "weighted_abs", "weighted_abs_inverse", "sign_conjugate"):
-            seq = diag.norm_sequences[key]
+            seq = diag["norm_sequences"][key]
             assert max(seq) - min(seq) <= 1e-12
 
     def test_size_guard(self):
         with pytest.raises(EnumerationBoundError):
-            family_diagnostics(counterexample_pair, [7])
+            family_run("counterexample", [7])
+
+    def test_splittings_that_do_not_commute_are_skipped(self, monkeypatch):
+        # Each 2 x 2 block of the weight is turned off the axes, so a diagonal splitting
+        # commutes with it only where it is constant on every block; the others raise
+        # CommutationError and the sweep skips them.  The run's own splitting is the
+        # turned diag(1, -1), which commutes, and H = J has an indefinite plus block on
+        # every diagonal splitting that commutes.
+        turn = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+        block_a, block_j = (turn * [2.0, 1.0]) @ turn.T, (turn * [1.0, -1.0]) @ turn.T
+
+        def rotated(size):
+            splitting = np.kron(np.eye(size), block_j)
+            return ProblemSpec(
+                kind="general",
+                matrices={"A": np.kron(np.eye(size), block_a), "H": splitting, "J": splitting},
+                force=True,
+            )
+
+        skipped = []
+        check = harness.check_gap_hypothesis
+
+        def counted(mat_a, mat_h, inv):
+            try:
+                return check(mat_a, mat_h, inv)
+            except CommutationError:
+                skipped.append(inv.n)
+                raise
+
+        monkeypatch.setitem(harness.FAMILIES, "rotated", rotated)
+        monkeypatch.setattr(harness, "check_gap_hypothesis", counted)
+        diag = family_run("rotated", [1, 2])
+        assert diag["gap_search_outcomes"] == [False, False]
+        # Size 1: both splittings; size 2: all 14 but diag(1, 1, -1, -1) and its negative.
+        assert skipped == [2, 2] + [4] * 12
